@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -55,10 +56,12 @@ func reference(w *workload, dets advdet.Detectors, frames [][]*synth.Scene) ([][
 
 // checkFrame returns why a timed frame disagrees with the reference,
 // or "" when it agrees: the same condition and reconfiguration flags,
-// and the same vehicle and pedestrian boxes in the same order.
-// Scores are not compared; the quantized lane may move them within
-// its error bound.
-func checkFrame(o frameObs, ref refFrame) string {
+// and the same vehicle and pedestrian boxes, in the same order when
+// ordered is set. Scores are not compared; the quantized lane may move
+// them within its error bound, and with them the order of boxes whose
+// scores lie that close, so a quantized stream is held to the same
+// box set only.
+func checkFrame(o frameObs, ref refFrame, ordered bool) string {
 	switch {
 	case o.err != nil && errors.Is(o.err, advdet.ErrOverloaded):
 		return "shed: " + o.err.Error()
@@ -71,18 +74,29 @@ func checkFrame(o frameObs, ref refFrame) string {
 	case o.res.VehicleDropped != ref.dropped || o.res.ReconfigStarted != ref.started:
 		return fmt.Sprintf("dropped/started %v/%v, reference %v/%v",
 			o.res.VehicleDropped, o.res.ReconfigStarted, ref.dropped, ref.started)
-	case !sameBoxes(o.res.Vehicles, ref.vehicles):
+	case !sameBoxes(o.res.Vehicles, ref.vehicles, ordered):
 		return fmt.Sprintf("vehicle boxes %v, reference %v", boxes(o.res.Vehicles), boxes(ref.vehicles))
-	case !sameBoxes(o.res.Pedestrians, ref.peds):
+	case !sameBoxes(o.res.Pedestrians, ref.peds, ordered):
 		return fmt.Sprintf("pedestrian boxes %v, reference %v", boxes(o.res.Pedestrians), boxes(ref.peds))
 	}
 	return ""
 }
 
-func sameBoxes(a, b []advdet.Detection) bool {
+func sameBoxes(a, b []advdet.Detection, ordered bool) bool {
+	if !ordered {
+		a, b = slices.Clone(a), slices.Clone(b)
+		slices.SortFunc(a, byBox)
+		slices.SortFunc(b, byBox)
+	}
 	return slices.EqualFunc(a, b, func(x, y advdet.Detection) bool {
 		return x.Box == y.Box && x.Kind == y.Kind
 	})
+}
+
+func byBox(x, y advdet.Detection) int {
+	return cmp.Or(cmp.Compare(x.Kind, y.Kind),
+		cmp.Compare(x.Box.X0, y.Box.X0), cmp.Compare(x.Box.Y0, y.Box.Y0),
+		cmp.Compare(x.Box.X1, y.Box.X1), cmp.Compare(x.Box.Y1, y.Box.Y1))
 }
 
 func boxes(ds []advdet.Detection) []advdet.Rect {
@@ -96,10 +110,10 @@ func boxes(ds []advdet.Detection) []advdet.Rect {
 // checkFrames checks every timed frame against the reference and
 // returns one message per failing frame, counted by camera and
 // position.
-func checkFrames(obs []frameObs, ref [][]refFrame) []string {
+func checkFrames(obs []frameObs, ref [][]refFrame, ordered bool) []string {
 	var bad []string
 	for i, o := range obs {
-		if why := checkFrame(o, ref[o.cam][o.pos]); why != "" {
+		if why := checkFrame(o, ref[o.cam][o.pos], ordered); why != "" {
 			bad = append(bad, fmt.Sprintf("frame %d (camera %d, position %d): %s", i, o.cam, o.pos, why))
 		}
 	}
@@ -164,7 +178,8 @@ type timedPass struct {
 func checkRun(w *workload, ref [][]refFrame, passes []timedPass, full bool) []string {
 	var bad []string
 	for _, p := range passes {
-		bad = append(bad, checkFrames(p.obs, ref)...)
+		// The instrumented profile scores in the quantized lane.
+		bad = append(bad, checkFrames(p.obs, ref, !w.profile)...)
 		perCam := byCamera(p.obs, len(p.streams))
 		for cam, st := range p.streams {
 			bad = append(bad, checkInvariants(st.Name(), st.Stats(), perCam[cam])...)

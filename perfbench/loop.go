@@ -135,7 +135,9 @@ func closedLoop(ctx context.Context, w *workload, cam int, frames []*synth.Scene
 // periods after start, the cameras' phases spread evenly over one
 // period. A stream takes its frames in order, so a frame that falls
 // due while the previous one is still running is offered late, and
-// its latency, timed from the due time, carries that wait.
+// its latency, timed from the due time, carries that wait. It stops
+// at the first cycle boundary due after dur, so every pass offers
+// each rendered frame equally often.
 func openLoop(ctx context.Context, w *workload, cam int, frames []*synth.Scene,
 	proc processor, start time.Time, dur time.Duration, capFrames int) ([]frameObs, time.Duration) {
 	period := time.Second / time.Duration(w.rate)
@@ -144,7 +146,7 @@ func openLoop(ctx context.Context, w *workload, cam int, frames []*synth.Scene,
 	var lag time.Duration
 	for k := 0; ; k++ {
 		due := start.Add(offset + time.Duration(k)*period)
-		if (capFrames > 0 && k >= capFrames) || (capFrames == 0 && due.Sub(start) >= dur) {
+		if (capFrames > 0 && k >= capFrames) || (capFrames == 0 && k%len(frames) == 0 && due.Sub(start) >= dur) {
 			break
 		}
 		if wait := time.Until(due); wait > 0 {

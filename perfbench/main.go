@@ -147,7 +147,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	var trace int
 	fs.StringVar(&cfg.workload, "workload", "", "workload name")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "input generator seed")
-	fs.Float64Var(&cfg.seconds, "seconds", 15, "seconds of timed frames (split between the two passes with --trace 1)")
+	fs.Float64Var(&cfg.seconds, "seconds", 15, "seconds of timed frames (half untraced, half traced with --trace 1)")
 	fs.IntVar(&trace, "trace", 0, "1 adds the traced pass and reports per-layer metrics")
 	fs.IntVar(&cfg.frames, "frames", 0, "cap on timed frames per camera (smoke runs); 0 runs for --seconds")
 	if err := fs.Parse(args); err != nil {
@@ -214,9 +214,11 @@ func run(ctx context.Context, cfg config, out, errOut io.Writer) (*report, error
 	frames := w.render(cfg.seed, n)
 	lim := limits{seconds: cfg.seconds, frames: cfg.frames}
 	if cfg.trace {
-		// The untraced and the traced pass share the run's time.
+		// The untraced and the traced passes share the run's time.
 		lim.seconds /= 2
 	}
+	untraced := lim
+	untraced.seconds /= float64(w.passes)
 
 	process := func(ctx context.Context, cam int, sc *synth.Scene) (advdet.FrameResult, error) {
 		return r.streams[cam].Process(ctx, sc)
@@ -227,7 +229,10 @@ func run(ctx context.Context, cfg config, out, errOut io.Writer) (*report, error
 		}
 	}
 	rejected := r.eng.FleetStats().Rejected
-	p := runPass(ctx, w, frames, process, lim)
+	ps := make([]pass, w.passes)
+	for i := range ps {
+		ps[i] = runPass(ctx, w, frames, process, untraced)
+	}
 	shed := r.eng.FleetStats().Rejected - rejected
 
 	var t *tracer
@@ -259,7 +264,12 @@ func run(ctx context.Context, cfg config, out, errOut io.Writer) (*report, error
 	if cfg.mutateRef != nil {
 		cfg.mutateRef(ref)
 	}
-	passes := []timedPass{{p.obs, r.streams}}
+	var passes []timedPass
+	attempted := 0
+	for _, p := range ps {
+		passes = append(passes, timedPass{p.obs, r.streams})
+		attempted += len(p.obs)
+	}
 	if cfg.trace {
 		passes = append(passes, timedPass{tp.obs, t.streams()})
 	}
@@ -271,15 +281,15 @@ func run(ctx context.Context, cfg config, out, errOut io.Writer) (*report, error
 		}
 		fmt.Fprintln(errOut, "check:", msg)
 	}
-	attempted := len(p.obs) + len(tp.obs)
+	attempted += len(tp.obs)
 	// Run-level violations count once each on top of the failing frames.
 	failed := min(len(bad), attempted)
 
-	all := summarize(w, p, shed)
+	all := summarize(w, ps, shed)
 	all["setup_s"] = metricValue{median(setups), "s"}
 	all["failed_share"] = metricValue{float64(failed) / float64(attempted), "share"}
 	if cfg.trace {
-		for k, v := range layerMetrics(t, dispatched, p) {
+		for k, v := range layerMetrics(t, dispatched, ps) {
 			all[k] = v
 		}
 	}
@@ -306,44 +316,67 @@ func run(ctx context.Context, cfg config, out, errOut io.Writer) (*report, error
 	return rep, nil
 }
 
-// summarize computes the end-to-end metrics of an untraced pass, and
-// the per-condition and open-loop figures reported beside them.
-func summarize(w *workload, p pass, shed uint64) map[string]metricValue {
-	var lat []float64
+// summarize computes the end-to-end metrics of the untraced passes,
+// and the per-condition and open-loop figures reported beside them.
+// Latency, rate and allocation metrics are the median of their
+// per-pass values; frame counts, shares, per-condition medians and the
+// generator lag pool every pass.
+func summarize(w *workload, ps []pass, shed uint64) map[string]metricValue {
+	perPass := []struct {
+		name, unit string
+		values     []float64
+	}{
+		{name: "frame_ms_p50", unit: "ms"},
+		{name: "frame_ms_tail", unit: "ms"},
+		{name: "frame_ms_tail.pct", unit: "percentile"},
+		{name: "fps", unit: "1/s"},
+		{name: "allocs_per_frame", unit: "count"},
+		{name: "alloc_kb_per_frame", unit: "KiB"},
+	}
 	byCond := map[string][]float64{}
-	late := 0
+	frames, late := 0, 0
+	var genLag time.Duration
 	period := time.Duration(0)
 	if w.rate > 0 {
 		period = time.Second / time.Duration(w.rate)
 	}
-	for _, o := range p.obs {
-		if o.err != nil {
-			late++ // a refused or failed frame misses every deadline
-			continue
+	for _, p := range ps {
+		var lat []float64
+		for _, o := range p.obs {
+			if o.err != nil {
+				late++ // a refused or failed frame misses every deadline
+				continue
+			}
+			if period > 0 && o.lat > period {
+				late++
+			}
+			l := ms(o.lat)
+			lat = append(lat, l)
+			byCond[o.res.Cond.String()] = append(byCond[o.res.Cond.String()], l)
+			if o.res.ReconfigStarted || o.res.VehicleDropped {
+				byCond["reconfig"] = append(byCond["reconfig"], l)
+			}
 		}
-		if period > 0 && o.lat > period {
-			late++
+		n := float64(len(p.obs))
+		pct, tailMS := tail(lat)
+		for i, v := range []float64{
+			median(lat), tailMS, float64(pct),
+			float64(len(lat)) / p.wall.Seconds(),
+			float64(p.mallocs) / n, float64(p.allocBytes) / 1024 / n,
+		} {
+			perPass[i].values = append(perPass[i].values, v)
 		}
-		l := ms(o.lat)
-		lat = append(lat, l)
-		byCond[o.res.Cond.String()] = append(byCond[o.res.Cond.String()], l)
-		if o.res.ReconfigStarted || o.res.VehicleDropped {
-			byCond["reconfig"] = append(byCond["reconfig"], l)
-		}
+		frames += len(p.obs)
+		genLag = max(genLag, p.genLag)
 	}
-	frames := float64(len(p.obs))
-	pct, tailMS := tail(lat)
 	m := map[string]metricValue{
-		"frame_ms_p50":           {median(lat), "ms"},
-		"frame_ms_tail":          {tailMS, "ms"},
-		"frame_ms_tail.pct":      {float64(pct), "percentile"},
-		"frames":                 {frames, "count"},
-		"fps":                    {float64(len(lat)) / p.wall.Seconds(), "1/s"},
-		"allocs_per_frame":       {float64(p.mallocs) / frames, "count"},
-		"alloc_kb_per_frame":     {float64(p.allocBytes) / 1024 / frames, "KiB"},
-		"late_share":             {float64(late) / frames, "share"},
-		"harness.gen_lag_ms_max": {ms(p.genLag), "ms"},
+		"frames":                 {float64(frames), "count"},
+		"late_share":             {float64(late) / float64(frames), "share"},
+		"harness.gen_lag_ms_max": {ms(genLag), "ms"},
 		"fleet.shed":             {float64(shed), "count"},
+	}
+	for _, pp := range perPass {
+		m[pp.name] = metricValue{median(pp.values), pp.unit}
 	}
 	// A condition the workload never shows reads 0.
 	for _, c := range []string{synth.Day.String(), synth.Dusk.String(), synth.Dark.String(), "reconfig"} {
@@ -353,9 +386,10 @@ func summarize(w *workload, p pass, shed uint64) map[string]metricValue {
 }
 
 // layerMetrics computes the per-layer metrics of the traced pass.
-// untraced is the untraced pass, for the tracing overhead: the median
-// traced frame (the Submit span) minus the median Stream.Process call.
-func layerMetrics(t *tracer, st fleet.Stats, untraced pass) map[string]metricValue {
+// untraced are the untraced passes, for the tracing overhead: the
+// median traced frame (the Submit span) minus the median
+// Stream.Process call.
+func layerMetrics(t *tracer, st fleet.Stats, untraced []pass) map[string]metricValue {
 	var fs []tracedFrame
 	for _, c := range t.cams {
 		fs = append(fs, c.frames...)
@@ -396,9 +430,11 @@ func layerMetrics(t *tracer, st fleet.Stats, untraced pass) map[string]metricVal
 	}))
 
 	var calls, traced, queue, runs []float64
-	for _, o := range untraced.obs {
-		if o.err == nil {
-			calls = append(calls, ms(o.call))
+	for _, p := range untraced {
+		for _, o := range p.obs {
+			if o.err == nil {
+				calls = append(calls, ms(o.call))
+			}
 		}
 	}
 	for i := range fs {

@@ -128,7 +128,9 @@ func TestOutputCheckIsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Correct || rep.Failed != 1 {
+	// Each untraced pass offers position 1 of camera 0 once.
+	w, _ := findWorkload("fleet-static-360p")
+	if rep.Correct || rep.Failed != w.passes {
 		t.Fatalf("wrong reference passed: %+v", rep)
 	}
 	if !strings.Contains(errOut.String(), "pedestrian boxes") {
@@ -163,5 +165,28 @@ func TestInvariantChecksAreLive(t *testing.T) {
 	}
 	if bad := checkInvariants("switch", good, switched); len(bad) == 0 {
 		t.Error("a switch without a dropped frame was not detected")
+	}
+}
+
+// TestBoxCheckOrder holds a non-quantized stream to the reference's box
+// order and a quantized one to its box set.
+func TestBoxCheckOrder(t *testing.T) {
+	a := advdet.Detection{Box: advdet.Rect{X0: 375, Y0: 125, X1: 475, Y1: 225}, Kind: pipeline.KindVehicle}
+	b := advdet.Detection{Box: advdet.Rect{X0: 380, Y0: 180, X1: 460, Y1: 260}, Kind: pipeline.KindVehicle}
+	c := advdet.Detection{Box: advdet.Rect{X0: 380, Y0: 180, X1: 460, Y1: 261}, Kind: pipeline.KindVehicle}
+	ref := []advdet.Detection{a, b}
+	if !sameBoxes([]advdet.Detection{b, a}, ref, false) {
+		t.Error("reordered box set rejected without order")
+	}
+	if sameBoxes([]advdet.Detection{b, a}, ref, true) {
+		t.Error("reordered boxes accepted with order")
+	}
+	for _, ordered := range []bool{false, true} {
+		if sameBoxes([]advdet.Detection{a, c}, ref, ordered) {
+			t.Errorf("changed box accepted (ordered %v)", ordered)
+		}
+		if sameBoxes([]advdet.Detection{a}, ref, ordered) {
+			t.Errorf("missing box accepted (ordered %v)", ordered)
+		}
 	}
 }
