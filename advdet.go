@@ -267,6 +267,11 @@ var (
 	ErrBankSelect = adaptive.ErrBankSelect
 )
 
+// ErrFrontEndMismatch: a system or stream was opened with vehicle and
+// pedestrian detectors whose HOG configuration or pyramid scale
+// differ. Every frame's detectors sweep one shared HOG front end.
+var ErrFrontEndMismatch = adaptive.ErrFrontEndMismatch
+
 // NewFaultPlan returns an empty fault plan seeded for its
 // probabilistic (Chaos) rules. Arm deterministic rules with
 // CorruptStage, StallDMA, AbortDMA, DropIRQ and FailBankSelect, then

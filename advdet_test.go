@@ -192,7 +192,7 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	const frames = 16
-	drops := 0
+	drops, hogVehicle := 0, 0
 	for i := 0; i < frames; i++ {
 		cond := Day
 		switch {
@@ -207,6 +207,8 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 		}
 		if res.VehicleDropped {
 			drops++
+		} else if res.Cond != Dark {
+			hogVehicle++
 		}
 	}
 	if drops != 1 {
@@ -230,6 +232,14 @@ func TestMetricsSnapshotEndToEnd(t *testing.T) {
 		"reconfig":        1,          // dusk->dark bitstream swap
 		"vehicle-scan":    frames - 1, // skipped on the dropped frame
 		"pedestrian-scan": frames,     // static partition, never interrupted
+		// One HOG front end per frame, dark frames included (the
+		// pedestrian sweep reads it alone there)...
+		"scan-resize":  frames,
+		"scan-feature": frames,
+		"scan-blocks":  frames,
+		// ...and a response/window pass per sweep over it.
+		"scan-response": uint64(hogVehicle) + frames,
+		"scan-windows":  uint64(hogVehicle) + frames,
 	}
 	for name, n := range want {
 		st, ok := snap.StageByName(name)

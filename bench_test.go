@@ -623,8 +623,8 @@ func BenchmarkScanBlockResponse(b *testing.B) {
 // precomputed response plane — PR5's path), through the fixed-point
 // datapath ("quantized"), and forced onto the per-window descriptor
 // path ("descriptor"). Serial so the comparison is pure arithmetic,
-// not scheduling. early/full/descriptor produce identical detections;
-// quantized matches boxes with scores inside the analytic error bound.
+// not scheduling. early/full/quantized produce identical detections;
+// descriptor matches boxes with scores within 1e-9 relative.
 func BenchmarkScanEarlyReject(b *testing.B) {
 	day, _, _ := benchDetectors(b)
 	sc := synth.RenderScene(synth.NewRNG(9), synth.DefaultSceneConfig(640, 360, synth.Day))

@@ -108,7 +108,7 @@ func WithEngineQuantizedScan() EngineOption {
 
 // WithEngineTemporalCache makes the temporal scan cache the default
 // for every stream opened on the engine (see WithTemporalCache). Each
-// stream still gets its own caches — only the default is shared —
+// stream still gets its own cache — only the default is shared —
 // so streams never alias each other's frame history. Individual
 // streams can opt out by passing WithStreamSystemOptions with
 // ScanTemporalCache unset.

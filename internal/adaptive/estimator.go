@@ -17,7 +17,13 @@ import (
 // synthetic scene generator's sensor model (see TestEstimateLux):
 // ~15 luma ≈ 5 lux (dark), ~130 luma ≈ 15000 lux (day).
 func EstimateLux(frame *img.RGB) float64 {
-	g := img.RGBToGray(frame)
+	return EstimateLuxGray(img.RGBToGray(frame))
+}
+
+// EstimateLuxGray is EstimateLux over an already converted gray frame,
+// so a system that converts each frame once for its detectors senses
+// from the same buffer.
+func EstimateLuxGray(g *img.Gray) float64 {
 	var sum, n float64
 	for _, p := range g.Pix {
 		if p >= 240 {

@@ -139,7 +139,11 @@ func (s *System) requestReconfig(target ConfigID) {
 	s.pending = true
 	s.pendTarget = target
 	s.retries = 0
-	s.invalidateTemporalCaches()
+	// The hardware analogue of the temporal cache (persistent BRAM line
+	// buffers) does not survive a fabric rewrite, and the frame dropped
+	// during reconfiguration breaks the consecutive-frame contract the
+	// dirty-tile deltas assume.
+	s.stack.Invalidate()
 	s.recIdx = len(s.stats.Reconfigs)
 	s.stats.Reconfigs = append(s.stats.Reconfigs, Reconfiguration{
 		Frame:   s.frameIdx,

@@ -53,75 +53,54 @@ type Detectors struct {
 	Pedestrian *pipeline.PedestrianDetector
 }
 
-// withScanOptions applies the system-level scan flags to the HOG
+// withScanOptions applies the system-level scan lane flags to the HOG
 // detectors by shallow-cloning the affected ones: Detectors values are
 // shared across streams of one engine (and the models across engines),
 // so the per-system flags must never write through the shared
 // pointers.
 func (d Detectors) withScanOptions(opt Options) Detectors {
-	if !opt.ScanQuantized && !opt.ScanNoEarlyReject && !opt.ScanTemporalCache {
+	if !opt.ScanQuantized && !opt.ScanNoEarlyReject {
 		return d
 	}
-	// Each clone gets its OWN temporal cache: a cache binds a detector
-	// to one frame sequence, so sharing one across streams (or across
-	// the day/dusk/pedestrian scans of one stream, which see different
-	// pyramids) would poison it every frame.
 	if d.Day != nil {
 		c := *d.Day
 		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		if opt.ScanTemporalCache {
-			c.Temporal = pipeline.NewTemporalCache()
-		}
 		d.Day = &c
 	}
 	if d.Dusk != nil {
 		c := *d.Dusk
 		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		if opt.ScanTemporalCache {
-			c.Temporal = pipeline.NewTemporalCache()
-		}
 		d.Dusk = &c
 	}
 	if d.Pedestrian != nil {
 		c := *d.Pedestrian
 		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		if opt.ScanTemporalCache {
-			c.Temporal = pipeline.NewTemporalCache()
-		}
 		d.Pedestrian = &c
 	}
 	return d
 }
 
-// invalidateTemporalCaches drops every per-detector temporal scan
-// cache. Called when a partial reconfiguration is requested: the
-// hardware analogue (persistent BRAM line buffers in the vehicle
-// partition) does not survive a fabric rewrite, and the frame dropped
-// during reconfiguration breaks the consecutive-frame contract the
-// cache's dirty-tile deltas assume.
-func (s *System) invalidateTemporalCaches() {
-	for _, tc := range []*pipeline.TemporalCache{
-		detTemporal(s.Dets.Day), detTemporal(s.Dets.Dusk), pedTemporal(s.Dets.Pedestrian),
-	} {
-		if tc != nil {
-			tc.Invalidate()
+// checkFrontEnd rejects a detector set whose vehicle and pedestrian
+// sweeps could not share one frame stack: every frame's sweeps read
+// one HOG front end, so they must agree on its configuration and
+// pyramid scale.
+func (d Detectors) checkFrontEnd() error {
+	if d.Pedestrian == nil {
+		return nil
+	}
+	for _, v := range []*pipeline.DayDuskDetector{d.Day, d.Dusk} {
+		if v != nil && (v.HOG != d.Pedestrian.HOG || v.Scale != d.Pedestrian.Scale) {
+			return fmt.Errorf("%w: vehicle HOG %+v/%g, pedestrian HOG %+v/%g", ErrFrontEndMismatch,
+				v.HOG, v.Scale, d.Pedestrian.HOG, d.Pedestrian.Scale)
 		}
 	}
+	return nil
 }
 
-func detTemporal(d *pipeline.DayDuskDetector) *pipeline.TemporalCache {
-	if d == nil {
-		return nil
-	}
-	return d.Temporal
-}
-
-func pedTemporal(d *pipeline.PedestrianDetector) *pipeline.TemporalCache {
-	if d == nil {
-		return nil
-	}
-	return d.Temporal
-}
+// ErrFrontEndMismatch reports vehicle and pedestrian detectors whose
+// HOG configuration or pyramid scale differ, so they cannot sweep one
+// shared frame stack.
+var ErrFrontEndMismatch = errors.New("adaptive: vehicle and pedestrian detectors need one HOG front end")
 
 // Options configures the system.
 type Options struct {
@@ -165,20 +144,20 @@ type Options struct {
 	// filled from it.
 	Retry RetryPolicy
 	// ScanQuantized scores the HOG scans through the fixed-point
-	// block-response datapath (float fallback for borderline margins:
-	// identical detection boxes, scores within the quantizer's error
-	// bound). The system's detectors are shallow-cloned with the flag
-	// set, so shared Detectors values are never mutated.
+	// block-response datapath (windows it does not reject re-score in
+	// float: detections identical to the float scan, boxes and scores).
+	// The system's detectors are shallow-cloned with the flag set, so
+	// shared Detectors values are never mutated.
 	ScanQuantized bool
 	// ScanNoEarlyReject disables the partial-margin early exit in the
 	// HOG scans, scoring every window from the full response plane.
 	ScanNoEarlyReject bool
-	// ScanTemporalCache reuses each HOG detector's feature/block/
-	// response stack across consecutive frames, recomputing only what
-	// each frame's dirty tiles invalidate (byte-identical output; see
-	// pipeline.NewTemporalCache). Every detector clone gets its own
+	// ScanTemporalCache reuses the system's frame stack — and each
+	// sweep's rows and planes — across consecutive frames, recomputing
+	// only what each frame's dirty tiles invalidate (byte-identical
+	// output; see pipeline.NewTemporalCache). Each system owns its own
 	// cache, so the option is safe across streams sharing Detectors.
-	// Caches are invalidated whenever a partial reconfiguration is
+	// The cache is invalidated whenever a partial reconfiguration is
 	// requested.
 	ScanTemporalCache bool
 	// EventSinks subscribes consumers to the unified typed event
@@ -320,6 +299,14 @@ type System struct {
 	sinks  []EventSink
 	led    *ledger.Ledger
 	ledBuf []byte
+
+	// stack is the stream's HOG front end: built at most once per
+	// frame (stackOpen) and read by every sweep of the frame. With
+	// ScanTemporalCache it carries its work across frames.
+	stack      *pipeline.FrameStack
+	stackOpen  bool                 // gray converted this frame
+	stackSwept bool                 // a sweep built the stack this frame
+	sweepTm    pipeline.ScanTimings // per-sweep metrics scratch
 }
 
 // New boots a standalone system: it builds the platform, stages both
@@ -341,6 +328,9 @@ func newSystem(eng *Engine, dets Detectors, opt Options) (*System, error) {
 		return nil, fmt.Errorf("adaptive: bitstream size must be positive, got %d", opt.BitstreamBytes)
 	}
 	opt.Retry = opt.Retry.withDefaults()
+	if err := dets.checkFrontEnd(); err != nil {
+		return nil, err
+	}
 	dets = dets.withScanOptions(opt)
 	s := &System{
 		eng:     eng,
@@ -350,6 +340,11 @@ func newSystem(eng *Engine, dets Detectors, opt Options) (*System, error) {
 		Dets:    dets,
 		Opt:     opt,
 		loaded:  configFor(opt.Initial),
+	}
+	if opt.ScanTemporalCache {
+		s.stack = pipeline.NewTemporalCache().Stack()
+	} else {
+		s.stack = pipeline.NewFrameStack()
 	}
 	if opt.EnableTracking {
 		s.tracker = track.NewTracker(track.DefaultConfig())
@@ -484,6 +479,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 	// vehicle and pedestrian scans see one consistent worker count.
 	s.beginFrameLanes()
 	defer s.endFrameLanes()
+	s.stackOpen, s.stackSwept = false, false
 	var frameWall time.Time
 	if s.metrics != nil {
 		frameWall = time.Now() // lint:walltime metrics dual-recording: wall lap rides beside the ps slot clock
@@ -501,7 +497,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 	}
 	lux := sc.Lux
 	if s.Opt.SenseFromImage {
-		lux = EstimateLux(sc.Frame)
+		lux = EstimateLuxGray(s.frameGray(sc))
 	}
 	cond := s.Monitor.Update(lux)
 	if s.metrics != nil {
@@ -633,7 +629,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 		if s.metrics != nil {
 			scanWall = time.Now() // lint:walltime metrics dual-recording: wall lap rides beside the ps slot clock
 		}
-		peds, err := s.Dets.Pedestrian.DetectCtx(ctx, img.RGBToGray(sc.Frame), s.workers())
+		peds, err := s.sweep(ctx, sc, s.Dets.Pedestrian)
 		if err != nil {
 			return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
 		}
@@ -685,6 +681,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 		s.metrics.SetGauge(metrics.GaugeReconfigInFlight, inFlight)
 		s.metrics.SetGauge(metrics.GaugeFrameIndex, uint64(res.Index))
 		s.metrics.SetGauge(metrics.GaugeMode, uint64(s.mode))
+		s.observeStack()
 		if s.led != nil {
 			evs, batches := s.led.Counts()
 			s.metrics.SetGauge(metrics.GaugeLedgerEvents, evs)
@@ -695,51 +692,82 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 }
 
 // detectVehicles dispatches to the condition's detector on the shared
-// worker pool. With metrics enabled, the HOG scans additionally report
-// per-stage wall time through the scan-* stages, attributing the
-// vehicle-scan budget to the block-response engine's sub-stages.
+// worker pool: a day or dusk model is a sweep over the frame stack the
+// pedestrian sweep reads too; the dark pipeline is taillight-based and
+// reads the RGB frame.
 func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth.Condition) ([]pipeline.Detection, error) {
-	gray := func() *img.Gray { return img.RGBToGray(sc.Frame) }
+	switch cond {
+	case synth.Day:
+		if s.Dets.Day != nil {
+			return s.sweep(ctx, sc, s.Dets.Day)
+		}
+	case synth.Dusk:
+		if s.Dets.Dusk != nil {
+			return s.sweep(ctx, sc, s.Dets.Dusk)
+		}
+	case synth.Dark:
+		if s.Dets.Dark != nil {
+			return s.Dets.Dark.DetectCtx(ctx, sc.Frame, s.workers())
+		}
+	}
+	return nil, nil
+}
+
+// sweeper is a HOG detector sweeping a shared frame stack.
+type sweeper interface {
+	SweepCtx(ctx context.Context, st *pipeline.FrameStack, workers int, tm *pipeline.ScanTimings) ([]pipeline.Detection, error)
+}
+
+// frameGray returns this frame's gray image, converting the scene once
+// per frame into the stack's own buffer: the light estimate and every
+// sweep read the same conversion.
+func (s *System) frameGray(sc *synth.Scene) *img.Gray {
+	if !s.stackOpen {
+		s.stackOpen = true
+		return s.stack.BeginRGB(sc.Frame)
+	}
+	return s.stack.Source()
+}
+
+// sweep runs one detector's window sweep over the frame stack. With
+// metrics enabled the sweep reports its own response and window
+// stages; the stack's stages are observed once per frame
+// (observeStack).
+func (s *System) sweep(ctx context.Context, sc *synth.Scene, d sweeper) ([]pipeline.Detection, error) {
+	s.frameGray(sc)
+	s.stackSwept = true
 	var tm *pipeline.ScanTimings
 	if s.metrics != nil {
-		tm = new(pipeline.ScanTimings)
+		tm = &s.sweepTm
 	}
-	dets, err := func() ([]pipeline.Detection, error) {
-		switch cond {
-		case synth.Day:
-			if s.Dets.Day != nil {
-				return s.Dets.Day.DetectTimedCtx(ctx, gray(), s.workers(), tm)
-			}
-		case synth.Dusk:
-			if s.Dets.Dusk != nil {
-				return s.Dets.Dusk.DetectTimedCtx(ctx, gray(), s.workers(), tm)
-			}
-		case synth.Dark:
-			if s.Dets.Dark != nil {
-				tm = nil // dark pipeline is taillight-based, not a HOG scan
-				return s.Dets.Dark.DetectCtx(ctx, sc.Frame, s.workers())
-			}
-		}
-		tm = nil
-		return nil, nil
-	}()
+	dets, err := d.SweepCtx(ctx, s.stack, s.workers(), tm)
 	if err == nil && tm != nil {
-		s.metrics.StageObserve(metrics.StageScanResize, 0, uint64(tm.Resize))
-		s.metrics.StageObserve(metrics.StageScanFeature, 0, uint64(tm.Feature))
-		s.metrics.StageObserve(metrics.StageScanBlocks, 0, uint64(tm.Blocks))
 		s.metrics.StageObserve(metrics.StageScanResponse, 0, uint64(tm.Response))
 		s.metrics.StageObserve(metrics.StageScanWindows, 0, uint64(tm.Windows))
-		if tm.TemporalPath {
-			s.metrics.StageObserve(metrics.StageScanTemporal, 0, uint64(tm.Temporal))
-			s.metrics.TileAdd(metrics.TileHits, uint64(tm.TileHits))
-			s.metrics.TileAdd(metrics.TileMisses, uint64(tm.TileMisses))
-			s.metrics.TileAdd(metrics.TileRefresh, uint64(tm.TileRefreshes))
-			if total := tm.TileHits + tm.TileMisses + tm.TileRefreshes; total > 0 {
-				s.metrics.SetGauge(metrics.GaugeTileHitRate, uint64(tm.TileHits*10000/total))
-			}
-		}
 	}
 	return dets, err
+}
+
+// observeStack records the frame stack's front-end stages and tile
+// accounting, once per frame that swept one — dark frames included,
+// where the pedestrian sweep alone reads it.
+func (s *System) observeStack() {
+	if !s.stackSwept {
+		return
+	}
+	tm := s.stack.Timings()
+	s.metrics.StageObserve(metrics.StageScanResize, 0, uint64(tm.Resize))
+	s.metrics.StageObserve(metrics.StageScanFeature, 0, uint64(tm.Feature))
+	s.metrics.StageObserve(metrics.StageScanBlocks, 0, uint64(tm.Blocks))
+	if tm.TemporalPath {
+		s.metrics.StageObserve(metrics.StageScanTemporal, 0, uint64(tm.Temporal))
+		s.metrics.TileAdd(metrics.TileHits, uint64(tm.TileHits))
+		s.metrics.TileAdd(metrics.TileMisses, uint64(tm.TileMisses))
+		s.metrics.TileAdd(metrics.TileRefresh, uint64(tm.TileRefreshes))
+		if total := tm.TileHits + tm.TileMisses + tm.TileRefreshes; total > 0 {
+			s.metrics.SetGauge(metrics.GaugeTileHitRate, uint64(tm.TileHits*10000/total))
+		}
+	}
 }
 
 // RunScenario is RunScenarioCtx without cancellation.

@@ -1,9 +1,11 @@
 package adaptive
 
 import (
+	"errors"
 	"testing"
 
 	"advdet/internal/img"
+	"advdet/internal/pipeline"
 	"advdet/internal/soc"
 	"advdet/internal/synth"
 )
@@ -261,5 +263,24 @@ func TestSlotOverrunsAbove50FPS(t *testing.T) {
 func TestConfigIDString(t *testing.T) {
 	if CfgDayDusk.String() != "day-dusk" || CfgDark.String() != "dark" {
 		t.Fatal("ConfigID strings wrong")
+	}
+}
+
+// TestFrontEndMismatchRejected: vehicle and pedestrian detectors sweep
+// one frame stack per frame, so a detector set whose HOG front ends
+// differ is refused at boot with a typed error instead of building a
+// second front end behind the caller's back.
+func TestFrontEndMismatchRejected(t *testing.T) {
+	ped := pipeline.NewPedestrianDetector(nil)
+	day := pipeline.NewDayDuskDetector(nil)
+	day.Scale = 1.5
+	_, err := New(Detectors{Day: day, Pedestrian: ped}, DefaultOptions())
+	if !errors.Is(err, ErrFrontEndMismatch) {
+		t.Fatalf("err = %v, want ErrFrontEndMismatch", err)
+	}
+	day.Scale = ped.Scale
+	day.HOG.Bins++
+	if _, err := New(Detectors{Day: day, Pedestrian: ped}, DefaultOptions()); !errors.Is(err, ErrFrontEndMismatch) {
+		t.Fatalf("err = %v, want ErrFrontEndMismatch", err)
 	}
 }

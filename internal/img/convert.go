@@ -56,15 +56,27 @@ func YCbCrToRGB(c *YCbCr) *RGB {
 
 // RGBToGray converts to 8-bit luma using the BT.601 weights.
 func RGBToGray(m *RGB) *Gray {
-	out := NewGray(m.W, m.H)
+	return RGBToGrayInto(nil, m)
+}
+
+// RGBToGrayInto is RGBToGray writing into dst, reusing dst's pixel
+// buffer when it has sufficient capacity (dst may be nil). It returns
+// the converted image — dst itself when reuse was possible — so a frame
+// loop converts every frame into one buffer instead of allocating.
+func RGBToGrayInto(dst *Gray, m *RGB) *Gray {
+	if dst == nil || cap(dst.Pix) < m.W*m.H {
+		dst = NewGray(m.W, m.H)
+	}
+	dst.W, dst.H = m.W, m.H
+	dst.Pix = dst.Pix[:m.W*m.H]
 	n := m.W * m.H
 	for i := 0; i < n; i++ {
 		r := int32(m.Pix[3*i])
 		g := int32(m.Pix[3*i+1])
 		b := int32(m.Pix[3*i+2])
-		out.Pix[i] = clamp8((19595*r + 38470*g + 7471*b + 1<<15) >> 16)
+		dst.Pix[i] = clamp8((19595*r + 38470*g + 7471*b + 1<<15) >> 16)
 	}
-	return out
+	return dst
 }
 
 // GrayToRGB expands a grayscale image to three identical channels.

@@ -150,14 +150,20 @@ func DownsampleBinary(b *Binary, factor int) *Binary {
 // parallel detection engine can build the levels concurrently while
 // staying geometry-identical to the serial pyramid.
 func PyramidSizes(w, h int, scale float64, minW, minH int) [][2]int {
+	return PyramidSizesInto(nil, w, h, scale, minW, minH)
+}
+
+// PyramidSizesInto is PyramidSizes appending into dst[:0], so a frame
+// loop reuses one size list instead of allocating it every frame.
+func PyramidSizesInto(dst [][2]int, w, h int, scale float64, minW, minH int) [][2]int {
 	if scale <= 1 {
 		// lint:invariant documented contract: scale must exceed 1
 		panic("img: PyramidGray scale must exceed 1")
 	}
-	var sizes [][2]int
+	sizes := dst[:0]
 	fw, fh := float64(w), float64(h)
 	for w >= minW && h >= minH {
-		sizes = append(sizes, [2]int{w, h}) // lint:alloc level count is O(log size); sizes are computed once per pyramid, not per window
+		sizes = append(sizes, [2]int{w, h}) // lint:alloc level count is O(log size); grows once, then the caller's list is reused
 		fw /= scale
 		fh /= scale
 		w, h = int(fw), int(fh)

@@ -83,21 +83,17 @@ func (d *AnimalDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int
 }
 
 // DetectTimedCtx is DetectCtx with per-stage wall-clock attribution;
-// tm may be nil and is written only on success.
+// tm may be nil and is written only on success. It builds a one-sweep
+// frame stack over g and sweeps it.
 func (d *AnimalDetector) DetectTimedCtx(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) ([]Detection, error) {
-	scan := hogScan{
+	return detectOnce(ctx, nil, g, workers, tm, windowSweep{
 		Cfg: d.HOG, Model: d.Model,
 		WinW: AnimalWindowW, WinH: AnimalWindowH,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
 		Kind: KindAnimal, NoBlockResponse: d.NoBlockResponse,
 		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
 		Prefilter: d.Prefilter,
-	}
-	dets, err := scan.runTimed(ctx, g, workers, tm)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: animal detect: %w", err)
-	}
-	return NMS(dets, d.NMSIoU), nil
+	}, d.NMSIoU, "animal")
 }
 
 // TrainAnimalSVM trains the animal model from a crop dataset.

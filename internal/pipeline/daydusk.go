@@ -38,9 +38,9 @@ type DayDuskDetector struct {
 	// NoEarlyReject disables the partial-margin early exit and scores
 	// every window through the full precomputed response plane.
 	NoEarlyReject bool
-	// Quantized scores windows in the fixed-point datapath with float
-	// fallback for borderline margins (same box set, scores within the
-	// quantizer's analytic error bound).
+	// Quantized scores windows in the fixed-point datapath; every
+	// window it does not reject re-scores in float, so detections are
+	// identical to the float scan, boxes and scores.
 	Quantized bool
 	// Prefilter, when non-nil and trained at the vehicle window
 	// geometry, integral-image-rejects scan windows before HOG scoring.
@@ -99,21 +99,31 @@ func (d *DayDuskDetector) DetectCtx(ctx context.Context, g *img.Gray, workers in
 }
 
 // DetectTimedCtx is DetectCtx with per-stage wall-clock attribution;
-// tm may be nil and is written only on success.
+// tm may be nil and is written only on success. It builds a one-sweep
+// frame stack over g and sweeps it (see SweepCtx).
 func (d *DayDuskDetector) DetectTimedCtx(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) ([]Detection, error) {
-	scan := hogScan{
+	return detectOnce(ctx, d.Temporal, g, workers, tm, d.sweep(), d.NMSIoU, "day-dusk")
+}
+
+// SweepCtx runs this detector's window sweep over a frame stack shared
+// with the frame's other sweeps, returning NMS-filtered detections
+// identical to DetectCtx on the stack's frame. The stack is brought up
+// to what the sweep reads first; tm (may be nil; written only on
+// success) receives the sweep's Response/Windows stages, the stack's
+// own stages are FrameStack.Timings.
+func (d *DayDuskDetector) SweepCtx(ctx context.Context, st *FrameStack, workers int, tm *ScanTimings) ([]Detection, error) {
+	return d.sweep().detect(ctx, st, workers, tm, d.NMSIoU, "day-dusk")
+}
+
+func (d *DayDuskDetector) sweep() windowSweep {
+	return windowSweep{
 		Cfg: d.HOG, Model: d.Model,
 		WinW: VehicleWindow, WinH: VehicleWindow,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
 		Kind: KindVehicle, NoBlockResponse: d.NoBlockResponse,
 		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
-		Prefilter: d.Prefilter, Temporal: d.Temporal,
+		Prefilter: d.Prefilter,
 	}
-	dets, err := scan.runTimed(ctx, g, workers, tm)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: day-dusk detect: %w", err)
-	}
-	return NMS(dets, d.NMSIoU), nil
 }
 
 // FeatureExtractor turns a fixed-size grayscale window into a feature

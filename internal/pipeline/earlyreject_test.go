@@ -2,12 +2,10 @@ package pipeline
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"testing"
 
 	"advdet/internal/haar"
-	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
 	"advdet/internal/synth"
@@ -66,17 +64,15 @@ func TestEarlyRejectMatchesFullMargin(t *testing.T) {
 
 // TestQuantizedBoundedDivergence is the quantized path's acceptance
 // gate over seed scenes rendered in all three lighting conditions:
-// the box set and kinds must be identical to the float scan (the
-// guard band plus float borderline fallback make this structural, not
-// statistical) and every score must sit within the quantizer's
-// analytic error bound. The quantized plane path (early exit off)
-// must match the on-demand quantized path exactly.
+// the detections must be byte-identical to the float scan — boxes,
+// kinds, order and bitwise scores. The guard band makes the box set
+// structural, and every window the integer datapath does not reject
+// re-scores in float, so the scores are the float lane's too. The
+// quantized plane path (early exit off) must match the on-demand
+// quantized path exactly.
 func TestQuantizedBoundedDivergence(t *testing.T) {
 	dayModel := trainSmall(t, synth.DayDataset(700, 64, 64, 50, 50))
 	duskModel := trainSmall(t, synth.DuskDataset(701, 64, 64, 50, 50, 0))
-	cfg := hog.DefaultConfig()
-	bw, bh := cfg.BlocksFor(64, 64)
-	blockLen := cfg.BlockCells * cfg.BlockCells * cfg.Bins
 	scenes := []struct {
 		name  string
 		model *svm.Model
@@ -101,28 +97,17 @@ func TestQuantizedBoundedDivergence(t *testing.T) {
 			if len(ref) == 0 && sc.name != "dark" {
 				t.Fatalf("%s: float scan found nothing; scene too easy to miss a regression", sc.name)
 			}
-			var qm svm.QuantBlockModel
-			if err := qm.Init(sc.model, bw, bh, blockLen, det.DetectThresh); err != nil {
-				t.Fatalf("quantizer rejected the trained model: %v", err)
-			}
 			qdet := *det
 			qdet.Quantized = true
-			got, err := qdet.DetectCtx(ctx, sc.g, 1)
+			var tm ScanTimings
+			got, err := qdet.DetectTimedCtx(ctx, sc.g, 1, &tm)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(ref) {
-				t.Fatalf("quantized scan: %d detections, want %d", len(got), len(ref))
+			if !tm.Quantized {
+				t.Fatal("quantized scan fell back to the float lane")
 			}
-			for i := range ref {
-				if got[i].Box != ref[i].Box || got[i].Kind != ref[i].Kind {
-					t.Fatalf("quantized detection %d = %+v, want box/kind of %+v", i, got[i], ref[i])
-				}
-				if d := math.Abs(got[i].Score - ref[i].Score); d > qm.ErrBound() {
-					t.Fatalf("quantized detection %d score diverges by %g, bound %g",
-						i, d, qm.ErrBound())
-				}
-			}
+			requireSameDetections(t, "quantized vs float", got, ref)
 			// Plane path (early exit off) must agree with the on-demand
 			// quantized path bit for bit: same integer arithmetic, same
 			// borderline fallback.
@@ -262,16 +247,15 @@ func TestSetLevelsInvalidatesShrunkEntries(t *testing.T) {
 	s.setLevels(5)
 	for i := 0; i < 5; i++ {
 		s.resp[i] = append(s.resp[i][:0], 1, 2, 3)
-		s.qgrids[i] = append(s.qgrids[i][:0], 4)
 		s.qresp[i] = append(s.qresp[i][:0], 5)
 		s.lats[i] = svm.Lattice{NAX: 7, NAY: 7, NBX: 9, NBY: 9, StepX: 1, StepY: 1, BlockStride: 1}
 		s.nax[i] = 7
 	}
 	s.setLevels(2)
 	for i := 2; i < 5; i++ {
-		if len(s.resp[i]) != 0 || len(s.qgrids[i]) != 0 || len(s.qresp[i]) != 0 {
-			t.Fatalf("level %d kept stale planes after shrink (resp %d, qgrids %d, qresp %d)",
-				i, len(s.resp[i]), len(s.qgrids[i]), len(s.qresp[i]))
+		if len(s.resp[i]) != 0 || len(s.qresp[i]) != 0 {
+			t.Fatalf("level %d kept stale planes after shrink (resp %d, qresp %d)",
+				i, len(s.resp[i]), len(s.qresp[i]))
 		}
 		if s.lats[i] != (svm.Lattice{}) || s.nax[i] != 0 {
 			t.Fatalf("level %d kept stale lattice %+v / nax %d after shrink", i, s.lats[i], s.nax[i])

@@ -2,9 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"time"
 
-	"advdet/internal/fixed"
 	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
@@ -12,22 +12,22 @@ import (
 	"advdet/internal/svm"
 )
 
-// hogScan describes one multi-scale HOG+SVM sliding-window scan: the
-// shared-cache, worker-pool equivalent of the serial scanPyramid
-// reference. The pyramid levels are resized concurrently, each
-// level's gradient/cell-histogram stages are computed once into a
-// read-only hog.FeatureMap, and window rows are fanned out across the
-// pool, with every row writing its own output slot so the assembled
-// detection list is identical for every worker count.
+// windowSweep is one HOG+SVM sliding-window sweep over a FrameStack:
+// window geometry, stride, model, threshold and Kind, plus the scoring
+// lane. It is the shared-cache, worker-pool equivalent of the serial
+// scanPyramid reference. The stack supplies each pyramid level's
+// feature map, block grid, quantized plane and integral image, built
+// once per frame whichever sweeps read them; the sweep fans its window
+// rows out across the pool, with every row writing its own output slot
+// so the assembled detection list is identical for every worker count.
 //
 // When every scan position lies on the cell grid (stride a multiple
-// of the cell size — true for all shipped detectors), the scan takes
-// the block-response fast path: each level's blocks are L2Hys-
-// normalized exactly once into a hog.BlockGrid and windows are scored
-// against the svm.BlockModel — the software rendition of the PL
-// datapath, whose HOG memories are written once per frame and only
-// read by the window evaluators. Within the fast path three scoring
-// strategies exist:
+// of the cell size — true for all shipped detectors), the sweep takes
+// the block-response fast path: windows are scored against the
+// svm.BlockModel straight from the level's normalized block grid — the
+// software rendition of the PL datapath, whose HOG memories are
+// written once per frame and only read by the window evaluators.
+// Within the fast path three scoring strategies exist:
 //
 //   - early reject (default): each window's block partials are
 //     accumulated in descending weight-mass order and the window is
@@ -38,16 +38,16 @@ import (
 //   - full margin (NoEarlyReject): the PR5 plane path — per-anchor
 //     partial responses precomputed by svm.BlockModel.Responses,
 //     windows summed from the plane.
-//   - quantized (Quantized): blocks quantized to Q1.14 int16,
-//     margins accumulated in the integer datapath of the PL
-//     (svm.QuantBlockModel). Decisions outside the analytic error
-//     band are final; borderline windows re-score through the float
-//     path, so the detection box set is identical to the float scan
-//     and scores diverge by at most QuantBlockModel.ErrBound.
+//   - quantized (Quantized): margins accumulated over the stack's
+//     Q1.14 block planes in the integer datapath of the PL
+//     (svm.QuantBlockModel). Rejections outside the analytic error
+//     band are final; every other window is re-scored through the
+//     float path, so detections — boxes and scores — are identical to
+//     the float scan.
 //
 // Unaligned strides keep the descriptor path with its per-window
 // Cfg.Extract crop fallback.
-type hogScan struct {
+type windowSweep struct {
 	Cfg        hog.Config
 	Model      *svm.Model
 	WinW, WinH int
@@ -64,20 +64,15 @@ type hogScan struct {
 	// behaviour). Equivalence tests pin the two paths byte-identical.
 	NoEarlyReject bool
 	// Quantized scores windows in the int16/int32 fixed-point datapath
-	// with float fallback for borderline margins. Ignored (with float
-	// fallback) when the model's weights exceed the quantizer's range.
+	// with float re-scoring of every window it does not reject. Ignored
+	// (with float fallback) when the model's weights exceed the
+	// quantizer's range.
 	Quantized bool
 	// Prefilter, when non-nil and trained at exactly (WinW, WinH),
 	// integral-image-rejects windows before any block scoring. A
 	// cascade trained at a different window geometry is ignored: its
 	// scores would be evaluated over the wrong pixels.
 	Prefilter *haar.Cascade
-	// Temporal, when non-nil, carries the feature/block/response stack
-	// across frames and recomputes only what the frame's dirty tiles
-	// invalidate. Output stays byte-identical to a cold scan; the cache
-	// serves one frame sequence and must not be shared across
-	// detectors or concurrent scans.
-	Temporal *TemporalCache
 }
 
 // rowTask addresses one window row of one pyramid level.
@@ -94,20 +89,21 @@ type rowScratch struct {
 // ScanTimings breaks one multi-scale scan into its wall-clock stages,
 // mirroring the paper's Fig. 2 datapath: pyramid resize, gradient +
 // cell-histogram feature maps, haar prefilter integrals, block
-// normalization, per-anchor SVM partial responses (or block
-// quantization), and the window scoring sweep. Detectors fill it via
-// DetectTimedCtx so the telemetry layer can attribute the
-// vehicle-scan budget to sub-stages.
+// normalization and quantization, per-anchor SVM partial responses,
+// and the window scoring sweep. The first five stages and the tile
+// accounting are the frame stack's (FrameStack.Timings, once per
+// frame); Response, Windows, BlockPath and Quantized are one sweep's
+// (SweepCtx). DetectTimedCtx reports both for its one-sweep stack.
 type ScanTimings struct {
 	Resize    time.Duration // pyramid level resizing
 	Feature   time.Duration // gradient + cell-histogram feature maps
 	Prefilter time.Duration // haar prefilter integral images
-	Blocks    time.Duration // block L2Hys normalization (block grids)
-	Response  time.Duration // per-anchor SVM responses / quantization
+	Blocks    time.Duration // block L2Hys normalization + Q1.14 quantization
+	Response  time.Duration // lattice checks + per-anchor SVM response planes
 	Windows   time.Duration // window scoring + detection assembly
 	Temporal  time.Duration // tile fingerprinting + dirty-mask dilation
 	// TileHits/TileMisses/TileRefreshes are the temporal cache's tile
-	// accounting for this scan (all zero without a cache): reused,
+	// accounting for this frame (all zero without a cache): reused,
 	// content-changed, and no-comparable-fingerprint tiles.
 	TileHits      int
 	TileMisses    int
@@ -116,7 +112,7 @@ type ScanTimings struct {
 	BlockPath bool
 	// Quantized reports whether the fixed-point scoring path ran.
 	Quantized bool
-	// TemporalPath reports whether a temporal cache served the scan.
+	// TemporalPath reports whether a temporal cache served the frame.
 	TemporalPath bool
 }
 
@@ -128,87 +124,17 @@ func scanPositions(size, win, stride int) int {
 	return (size-win)/stride + 1
 }
 
-// run scans every pyramid level of g with the given worker count,
-// returning detections in deterministic level-major, raster order.
+// run sweeps every pyramid level of the stack's open frame that the
+// window fits with the given worker count, returning detections in
+// deterministic level-major, raster order. It brings the stack up to
+// what the sweep reads first; tm (may be nil; written only on success)
+// receives the sweep's own stages.
 //
 // lint:hotpath
-func (s hogScan) run(ctx context.Context, g *img.Gray, workers int) ([]Detection, error) {
-	return s.runTimed(ctx, g, workers, nil)
-}
-
-// runTimed is run with optional per-stage wall-clock attribution
-// (tm may be nil; it is written only on success).
-func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) (dets []Detection, err error) {
+func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *ScanTimings) ([]Detection, error) {
 	workers = par.Workers(workers)
 	sc := borrowScanScratch()
 	defer releaseScanScratch(sc)
-	tc := s.Temporal
-	if tc != nil {
-		// An abandoned scan (cancellation, validation failure) leaves
-		// cached planes out of step with the already-updated tile
-		// fingerprints; the next frame must scan cold rather than trust
-		// them.
-		defer func() {
-			if err != nil {
-				tc.Invalidate()
-			}
-		}()
-	}
-
-	var t ScanTimings
-	timed := tm != nil
-	var last time.Time
-	if timed {
-		last = time.Now()
-	}
-	lap := func(d *time.Duration) {
-		if !timed {
-			return
-		}
-		now := time.Now()
-		*d += now.Sub(last)
-		last = now
-	}
-
-	// Stage 1: pyramid levels, resized concurrently (each level reads
-	// only the source frame) into buffers reused across frames. Level 0
-	// is always the source size, so it aliases the frame itself instead
-	// of copying it — the scan only reads levels, and the alias is
-	// swapped back out before the scratch returns to the pool.
-	sizes := img.PyramidSizes(g.W, g.H, s.Scale, s.WinW, s.WinH)
-	nl := len(sizes)
-	sc.setLevels(nl)
-	// The per-level stack lives in the pooled scratch — or, with a
-	// temporal cache, in the cache's own arenas, so that no later
-	// scratch borrow can overwrite state that must survive the frame
-	// boundary. These views are what both stages read and write.
-	maps, grids := sc.maps, sc.grids
-	resp, qgrids, qresp := sc.resp, sc.qgrids, sc.qresp
-	if tc != nil {
-		tc.begin(temporalSig{
-			model: s.Model, cfg: s.Cfg,
-			winW: s.WinW, winH: s.WinH, stride: s.Stride,
-			scale: s.Scale, thresh: s.Thresh,
-			noBlock: s.NoBlockResponse, noEarly: s.NoEarlyReject, quant: s.Quantized,
-			pref: s.Prefilter, w: g.W, h: g.H,
-		}, nl)
-		maps, grids = tc.maps, tc.grids
-		resp, qgrids, qresp = tc.resp, tc.qgrids, tc.qresp
-	}
-	first := 0
-	if nl > 0 && sizes[0][0] == g.W && sizes[0][1] == g.H {
-		sc.level0 = sc.levels[0]
-		sc.level0Aliased = true
-		sc.levels[0] = g
-		first = 1
-	}
-	if err := par.ForEach(ctx, workers, nl-first, func(i int) {
-		i += first
-		sc.levels[i] = img.ResizeGrayInto(sc.levels[i], g, sizes[i][0], sizes[i][1])
-	}); err != nil {
-		return nil, err
-	}
-	lap(&t.Resize)
 
 	// The fast path applies when every scan position is cell-aligned,
 	// so each window's blocks exist in the level block grid.
@@ -230,52 +156,55 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		pw, ph := s.Prefilter.Window()
 		usePref = pw == s.WinW && ph == s.WinH
 	}
+	nl, err := st.ensure(ctx, workers, stackNeeds{cfg: s.Cfg, scale: s.Scale, winW: s.WinW, winH: s.WinH,
+		blocks: useBlocks, quant: useQuant, integral: usePref})
+	if err != nil {
+		return nil, err
+	}
 
-	// Stage 2: per level, one shared feature cache (row-parallel); on
-	// the fast path also the normalized block grid, computed once per
-	// frame instead of once per window, plus whichever response
-	// representation the scoring strategy needs.
+	var t ScanTimings
+	timed := tm != nil
+	var last time.Time
+	if timed {
+		last = time.Now()
+	}
+	lap := func(d *time.Duration) {
+		if !timed {
+			return
+		}
+		now := time.Now()
+		*d += now.Sub(last)
+		last = now
+	}
+
+	// The sweep's own cross-frame state: with a temporal cache, its
+	// rows and planes from the previous frame are reusable wherever the
+	// stack's dirty masks prove the inputs unchanged — and only if this
+	// same sweep produced them on that frame.
+	tc := st.tc
+	var part *sweepPart
+	prevPart := false
+	sc.setLevels(nl)
+	resp, qresp := sc.resp, sc.qresp
+	if tc != nil {
+		part = tc.part(sweepSig{
+			model: s.Model, cfg: s.Cfg,
+			winW: s.WinW, winH: s.WinH, stride: s.Stride,
+			scale: s.Scale, thresh: s.Thresh,
+			noBlock: s.NoBlockResponse, noEarly: s.NoEarlyReject, quant: s.Quantized,
+			pref: s.Prefilter, w: st.src.W, h: st.src.H,
+		})
+		prevPart = st.prev(part.gen)
+		part.setLevels(nl)
+		resp, qresp = part.resp, part.qresp
+	}
+
+	// Per level: the anchor lattice over the stack's block grid and,
+	// on the plane lanes, the response plane the scoring reads.
 	for i := 0; i < nl; i++ {
-		level := sc.levels[i]
-		fm := maps[i]
-		// Temporal refresh mode: fingerprint the level's tiles and
-		// decide whether its cached stack can be reused wholesale
-		// (clean), refreshed cell-by-cell (partial), or must be
-		// recomputed (full — also the only mode without a cache).
-		mode := tcFull
-		if tc != nil {
-			mode = tc.observe(i, level, s.Cfg)
-			lap(&t.Temporal)
-		}
-		switch mode {
-		case tcClean:
-			// Every tile fingerprint matched: the cached feature map is
-			// bitwise what ComputeCtx would produce.
-		case tcPartial:
-			if err := fm.ComputeDirtyCtx(ctx, s.Cfg, level, workers, tc.cellMask); err != nil {
-				return nil, err
-			}
-		default:
-			if err := fm.ComputeCtx(ctx, s.Cfg, level, workers, &sc.hs); err != nil {
-				return nil, err
-			}
-		}
-		lap(&t.Feature)
-		// Reset the level's scan state first: a level that skips the
-		// fast path below must never be read through a previous frame's
-		// plane or lattice. Cache-owned planes persist by design — their
-		// validity is keyed by the signature and the tile fingerprints.
-		if tc == nil {
-			resp[i] = resp[i][:0]
-			qgrids[i] = qgrids[i][:0]
-			qresp[i] = qresp[i][:0]
-		}
+		level := st.levels[i]
 		sc.lats[i] = svm.Lattice{}
 		sc.nax[i] = 0
-		if usePref && level.W >= s.WinW && level.H >= s.WinH {
-			sc.its[i].Compute(level)
-			lap(&t.Prefilter)
-		}
 		if !useBlocks {
 			continue
 		}
@@ -284,24 +213,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		if nax == 0 || nay == 0 {
 			continue
 		}
-		bg := grids[i]
-		dirtyBlocks := 0
-		switch mode {
-		case tcClean:
-			// Cached grid current; nothing to normalize.
-		case tcPartial:
-			cw, ch := s.Cfg.CellsFor(level.W, level.H)
-			pnbx, pnby := bg.Dims()
-			dirtyBlocks = tc.dirtyBlocks(s.Cfg, cw, ch, pnbx, pnby)
-			if err := bg.ComputeDirtyCtx(ctx, fm, workers, tc.blockMask[:pnbx*pnby]); err != nil {
-				return nil, err
-			}
-		default:
-			if err := bg.ComputeCtx(ctx, fm, workers); err != nil {
-				return nil, err
-			}
-		}
-		lap(&t.Blocks)
+		bg := st.grids[i]
 		nbx, nby := bg.Dims()
 		lat := svm.Lattice{
 			NBX: nbx, NBY: nby,
@@ -312,50 +224,47 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		if err := sc.bm.CheckLattice(lat, len(bg.Data())); err != nil {
 			return nil, err
 		}
+		// A plane is refreshed like the grid it derives from: reused
+		// where the grid was clean, patched at the dirty anchors where
+		// it was partial, and recomputed otherwise.
+		mode := tcFull
+		if prevPart {
+			mode = st.gmode[i]
+		}
+		dirty := mode == tcPartial && tc.dirtyBlocks[i] > 0
 		switch {
 		case useQuant:
-			// A cached quantized plane whose length disagrees with the
-			// grid (first quantized frame after a regrow) is re-derived
-			// in full; quantization is elementwise, so a per-block
-			// requantize is bitwise the full pass.
-			fullQuant := mode == tcFull || len(qgrids[i]) != len(bg.Data())
-			switch {
-			case fullQuant:
-				qgrids[i] = fixed.QuantizeQ14(qgrids[i], bg.Data())
-			case mode == tcPartial && dirtyBlocks > 0:
-				requantDirtyBlocks(qgrids[i], bg.Data(), blockLen, tc.blockMask[:nbx*nby])
-			}
-			if err := sc.qbm.CheckLattice(lat, len(qgrids[i])); err != nil {
+			if err := sc.qbm.CheckLattice(lat, len(st.qgrids[i])); err != nil {
 				return nil, err
 			}
 			if !useEarly {
 				need := nax * nay * bw * bh
-				fullResp := fullQuant || len(qresp[i]) != need
+				full := mode == tcFull || len(qresp[i]) != need
 				qresp[i] = growI32(qresp[i], need) // lint:alloc grows to the largest level once
 				switch {
-				case fullResp:
-					if err := sc.qbm.Responses(ctx, workers, qgrids[i], lat, qresp[i]); err != nil {
+				case full:
+					if err := sc.qbm.Responses(ctx, workers, st.qgrids[i], lat, qresp[i]); err != nil {
 						return nil, err
 					}
-				case mode == tcPartial && dirtyBlocks > 0:
-					tc.dirtyAnchors(lat, bw, bh)
-					if err := sc.qbm.ResponsesDirty(ctx, workers, qgrids[i], lat, qresp[i], tc.anchMask[:nax*nay]); err != nil {
+				case dirty:
+					part.dirtyAnchors(tc.blockMask[i], lat, bw, bh)
+					if err := sc.qbm.ResponsesDirty(ctx, workers, st.qgrids[i], lat, qresp[i], part.anchMask[:nax*nay]); err != nil {
 						return nil, err
 					}
 				}
 			}
 		case !useEarly:
 			need := nax * nay * bw * bh
-			fullResp := mode == tcFull || len(resp[i]) != need
+			full := mode == tcFull || len(resp[i]) != need
 			resp[i] = growF64(resp[i], need) // lint:alloc grows to the largest level once
 			switch {
-			case fullResp:
+			case full:
 				if err := sc.bm.Responses(ctx, workers, bg.Data(), lat, resp[i]); err != nil {
 					return nil, err
 				}
-			case mode == tcPartial && dirtyBlocks > 0:
-				tc.dirtyAnchors(lat, bw, bh)
-				if err := sc.bm.ResponsesDirty(ctx, workers, bg.Data(), lat, resp[i], tc.anchMask[:nax*nay]); err != nil {
+			case dirty:
+				part.dirtyAnchors(tc.blockMask[i], lat, bw, bh)
+				if err := sc.bm.ResponsesDirty(ctx, workers, bg.Data(), lat, resp[i], part.anchMask[:nax*nay]); err != nil {
 					return nil, err
 				}
 			}
@@ -365,31 +274,28 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 		// partials would spend the work the exit exists to skip.
 		sc.lats[i] = lat
 		sc.nax[i] = nax
+	}
+	if useBlocks {
 		lap(&t.Response)
 	}
 
-	// Stage 3: one task per window row across all levels, pre-sized
-	// from the pyramid geometry; each task owns an output slot, so
-	// assembly order is independent of worker scheduling.
+	// One task per window row across all levels, pre-sized from the
+	// pyramid geometry; each task owns an output slot, so assembly
+	// order is independent of worker scheduling.
 	nt := 0
 	for i := 0; i < nl; i++ {
-		if sc.levels[i].W < s.WinW {
-			continue
-		}
-		nt += scanPositions(sc.levels[i].H, s.WinH, s.Stride)
+		nt += scanPositions(st.levels[i].H, s.WinH, s.Stride)
 	}
 	tasks, results := sc.setTasks(nt)
 	k := 0
 	for i := 0; i < nl; i++ {
-		level := sc.levels[i]
-		if level.W < s.WinW {
-			continue
-		}
+		level := st.levels[i]
 		for y := 0; y+s.WinH <= level.H; y += s.Stride {
 			tasks[k] = rowTask{i, y}
 			k++
 		}
 	}
+	g := st.src
 	descLen := s.Cfg.DescriptorLen(s.WinW, s.WinH)
 	// Window-row reuse: with a cache holding the previous scan's rows
 	// (same signature, so the task list is identical), any row whose
@@ -397,16 +303,16 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	// detections — its scores are pure functions of blocks and pixels
 	// the dirty masks prove unchanged — so stage 3 serves the cached
 	// slice instead of rescoring the row.
-	serveRows := tc != nil && tc.rowsValid && len(tc.rowDets) == nt
+	serveRows := prevPart && len(part.rowDets) == nt
 	err = par.ForEachLocal(ctx, workers, nt,
 		func() *rowScratch { return new(rowScratch) },
 		func(ti int, rs *rowScratch) {
 			rt := tasks[ti]
 			if serveRows && tc.rowServable(s.Cfg, rt.level, rt.y, s.WinH, sc.nax[rt.level] > 0, bh) {
-				results[ti] = tc.rowDets[ti]
+				results[ti] = part.rowDets[ti]
 				return
 			}
-			level, fm := sc.levels[rt.level], maps[rt.level]
+			level, fm := st.levels[rt.level], st.maps[rt.level]
 			fx := float64(g.W) / float64(level.W)
 			fy := float64(g.H) / float64(level.H)
 			var dets []Detection
@@ -420,7 +326,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 			}
 			var it *haar.Integral
 			if usePref {
-				it = sc.its[rt.level]
+				it = st.its[rt.level]
 			}
 			pass := func(x int) bool {
 				return it == nil || s.Prefilter.AcceptAt(it, x, rt.y)
@@ -430,7 +336,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 				// normalization, zero allocation per window.
 				ay := rt.y / s.Stride
 				lat := sc.lats[rt.level]
-				blocks := grids[rt.level].Data()
+				blocks := st.grids[rt.level].Data()
 				emit := func(ax int, m float64) {
 					dets = append(dets, Detection{Box: box(ax * s.Stride), Score: m, Kind: s.Kind}) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
 				}
@@ -445,7 +351,7 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 				var cached []Detection
 				cj := 0
 				if rowPartial {
-					cached = tc.rowDets[ti]
+					cached = part.rowDets[ti]
 				}
 				spanCX := (bw-1)*s.Cfg.BlockStride + s.Cfg.BlockCells
 				if p := (s.WinW + cell - 1) / cell; p > spanCX {
@@ -478,9 +384,9 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 					return true
 				}
 				switch {
-				case len(qresp[rt.level]) > 0:
-					// Quantized plane: integer decisions, borderline
-					// margins resolved by the float oracle.
+				case useQuant && !useEarly:
+					// Quantized plane: integer decisions, margins of
+					// accepted windows resolved by the float oracle.
 					qresp := qresp[rt.level]
 					for ax := 0; ax < nax; ax++ {
 						if serve(ax) {
@@ -489,14 +395,14 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 						if !pass(ax * s.Stride) {
 							continue
 						}
-						score, dec := sc.qbm.DecideAt(qresp, nax, ax, ay)
-						if m, ok := resolveQuant(&sc.bm, score, dec, blocks, lat, ax, ay, s.Thresh); ok {
+						_, dec := sc.qbm.DecideAt(qresp, nax, ax, ay)
+						if m, ok := resolveQuant(&sc.bm, dec, blocks, lat, ax, ay, s.Thresh); ok {
 							emit(ax, m)
 						}
 					}
-				case len(qgrids[rt.level]) > 0:
+				case useQuant:
 					// Quantized on-demand with integer early exit.
-					qblocks := qgrids[rt.level]
+					qblocks := st.qgrids[rt.level]
 					for ax := 0; ax < nax; ax++ {
 						if serve(ax) {
 							continue
@@ -504,12 +410,12 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 						if !pass(ax * s.Stride) {
 							continue
 						}
-						score, dec := sc.qbm.ScoreAt(qblocks, lat, ax, ay, true)
-						if m, ok := resolveQuant(&sc.bm, score, dec, blocks, lat, ax, ay, s.Thresh); ok {
+						_, dec := sc.qbm.ScoreAt(qblocks, lat, ax, ay, true)
+						if m, ok := resolveQuant(&sc.bm, dec, blocks, lat, ax, ay, s.Thresh); ok {
 							emit(ax, m)
 						}
 					}
-				case len(resp[rt.level]) > 0:
+				case !useEarly:
 					// Full-margin plane (NoEarlyReject): a window's
 					// margin is the bias plus its contiguous cached
 					// partials.
@@ -577,40 +483,73 @@ func (s hogScan) runTimed(ctx context.Context, g *img.Gray, workers int, tm *Sca
 	for _, r := range results {
 		all = append(all, r...)
 	}
-	if tc != nil {
-		tc.storeRows(results)
+	if part != nil {
+		part.storeRows(results, st.gen)
 	}
 	lap(&t.Windows)
 	if timed {
 		t.BlockPath = useBlocks
 		t.Quantized = useQuant
-		if tc != nil {
-			t.TemporalPath = true
-			fs := tc.FrameStats()
-			t.TileHits, t.TileMisses, t.TileRefreshes = fs.Hits, fs.Misses, fs.Refreshes
-		}
 		*tm = t
 	}
 	return all, nil
 }
 
+// detect is run plus NMS, with errors attributed to the detector.
+func (s windowSweep) detect(ctx context.Context, st *FrameStack, workers int, tm *ScanTimings,
+	nmsIoU float64, what string) ([]Detection, error) {
+	dets, err := s.run(ctx, st, workers, tm)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %s detect: %w", what, err)
+	}
+	return NMS(dets, nmsIoU), nil
+}
+
+// detectOnce is every HOG detector's DetectTimedCtx: a one-sweep
+// frame stack over g — the detector's temporal cache's, or a pooled
+// cold one — swept once. tm receives the stack's stages and the
+// sweep's.
+func detectOnce(ctx context.Context, tc *TemporalCache, g *img.Gray, workers int, tm *ScanTimings,
+	s windowSweep, nmsIoU float64, what string) ([]Detection, error) {
+	var st *FrameStack
+	if tc != nil {
+		st = tc.Stack()
+		defer st.detach()
+	} else {
+		st = borrowStack()
+		defer releaseStack(st)
+	}
+	st.Begin(g)
+	var sw ScanTimings
+	var swp *ScanTimings
+	if tm != nil {
+		swp = &sw
+	}
+	dets, err := s.detect(ctx, st, workers, swp, nmsIoU, what)
+	if err == nil && tm != nil {
+		t := st.Timings()
+		t.Response, t.Windows, t.BlockPath, t.Quantized = sw.Response, sw.Windows, sw.BlockPath, sw.Quantized
+		*tm = t
+	}
+	return dets, err
+}
+
 // resolveQuant turns a quantized decision into the float-path verdict
-// for one window: accepts and rejects outside the guard band are
-// final (the analytic error bound proves the float margin lands on
-// the same side of the threshold), and borderline margins re-score
-// through the float block model — which is why the quantized scan's
-// box set is structurally identical to the float scan's.
+// for one window. Rejections outside the guard band are final (the
+// analytic error bound proves the float margin lands below the
+// threshold); every other window — borderline or accepted — re-scores
+// through the float block model, so the quantized lane reports the
+// float scan's detections exactly, boxes and scores. Accepts are
+// post-threshold and rare, so the re-score costs next to nothing, and
+// NMS sees the same scores the float lane would: with quantized scores
+// two near-equal windows could swap places and keep a different box.
 //
 // lint:hotpath
-func resolveQuant(bm *svm.BlockModel, score float64, dec svm.QuantDecision,
+func resolveQuant(bm *svm.BlockModel, dec svm.QuantDecision,
 	blocks []float64, lat svm.Lattice, ax, ay int, thresh float64) (float64, bool) {
-	switch dec {
-	case svm.QuantAccept:
-		return score, true
-	case svm.QuantBorderline:
-		m := bm.WindowMargin(blocks, lat, ax, ay)
-		return m, m > thresh
-	default:
+	if dec == svm.QuantReject {
 		return 0, false
 	}
+	m := bm.WindowMargin(blocks, lat, ax, ay)
+	return m, m > thresh
 }

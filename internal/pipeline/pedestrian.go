@@ -85,21 +85,31 @@ func (d *PedestrianDetector) DetectCtx(ctx context.Context, g *img.Gray, workers
 }
 
 // DetectTimedCtx is DetectCtx with per-stage wall-clock attribution;
-// tm may be nil and is written only on success.
+// tm may be nil and is written only on success. It builds a one-sweep
+// frame stack over g and sweeps it (see SweepCtx).
 func (d *PedestrianDetector) DetectTimedCtx(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) ([]Detection, error) {
-	scan := hogScan{
+	return detectOnce(ctx, d.Temporal, g, workers, tm, d.sweep(), d.NMSIoU, "pedestrian")
+}
+
+// SweepCtx runs this detector's window sweep over a frame stack shared
+// with the frame's other sweeps, returning NMS-filtered detections
+// identical to DetectCtx on the stack's frame. The stack is brought up
+// to what the sweep reads first; tm (may be nil; written only on
+// success) receives the sweep's Response/Windows stages, the stack's
+// own stages are FrameStack.Timings.
+func (d *PedestrianDetector) SweepCtx(ctx context.Context, st *FrameStack, workers int, tm *ScanTimings) ([]Detection, error) {
+	return d.sweep().detect(ctx, st, workers, tm, d.NMSIoU, "pedestrian")
+}
+
+func (d *PedestrianDetector) sweep() windowSweep {
+	return windowSweep{
 		Cfg: d.HOG, Model: d.Model,
 		WinW: PedWindowW, WinH: PedWindowH,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
 		Kind: KindPedestrian, NoBlockResponse: d.NoBlockResponse,
 		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
-		Prefilter: d.Prefilter, Temporal: d.Temporal,
+		Prefilter: d.Prefilter,
 	}
-	dets, err := scan.runTimed(ctx, g, workers, tm)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: pedestrian detect: %w", err)
-	}
-	return NMS(dets, d.NMSIoU), nil
 }
 
 // TrainPedestrianSVM trains the pedestrian model from a crop dataset.

@@ -3,47 +3,30 @@ package pipeline
 import (
 	"sync"
 
-	"advdet/internal/haar"
-	"advdet/internal/hog"
-	"advdet/internal/img"
 	"advdet/internal/svm"
 )
 
-// scanScratch owns every reusable buffer of one hogScan.run
-// invocation: pyramid levels, per-level feature maps and block grids,
-// response planes (float and quantized), prefilter integrals, and the
+// scanScratch owns every reusable buffer of one windowSweep.run
+// invocation that is not part of the frame stack: the block models,
+// response planes (float and quantized), anchor lattices and the
 // task/result arenas. A scratch is borrowed from a process-wide pool
-// for the duration of one scan and returned afterwards, so the
+// for the duration of one sweep and returned afterwards, so the
 // steady-state frame loop recomputes everything per frame but
 // allocates (almost) nothing — the software equivalent of the PL's
-// statically provisioned HOG/Normalized-HOG memories, which are
+// statically provisioned window-evaluator memories, which are
 // rewritten every frame and never reallocated.
 //
-// Nothing borrowed from the pool escapes a scan: detections handed to
-// the caller are always freshly assembled.
+// Nothing borrowed from the pool escapes a sweep: detections handed
+// to the caller are always freshly assembled.
 type scanScratch struct {
-	levels  []*img.Gray
-	maps    []*hog.FeatureMap
-	grids   []*hog.BlockGrid
-	its     []*haar.Integral
-	hs      hog.Scratch
 	bm      svm.BlockModel
 	qbm     svm.QuantBlockModel
 	resp    [][]float64   // per-level float response planes; len 0 = not precomputed
-	qgrids  [][]int16     // per-level quantized block planes; len 0 = float path
 	qresp   [][]int32     // per-level quantized response planes; len 0 = on-demand
 	lats    []svm.Lattice // per-level anchor lattices (valid when nax > 0)
 	nax     []int         // per-level anchor-lattice width; 0 = descriptor path
 	tasks   []rowTask
 	results [][]Detection
-
-	// level0 stashes the pooled level-0 buffer while levels[0] aliases
-	// the caller's frame (level 0 of the pyramid is always the source
-	// size, so the scan reads the frame directly instead of copying
-	// it). releaseScanScratch swaps the stash back so the pool never
-	// pins a caller's frame across scans.
-	level0        *img.Gray
-	level0Aliased bool
 }
 
 var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -51,11 +34,6 @@ var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
 func borrowScanScratch() *scanScratch { return scanPool.Get().(*scanScratch) }
 
 func releaseScanScratch(s *scanScratch) {
-	if s.level0Aliased {
-		s.levels[0] = s.level0
-		s.level0 = nil
-		s.level0Aliased = false
-	}
 	// Drop detection references so the pool doesn't pin row output from
 	// past frames; the slice headers themselves are reused. The clear
 	// must run over the full capacity, not just the current length: a
@@ -73,31 +51,16 @@ func releaseScanScratch(s *scanScratch) {
 
 // setLevels grows the per-level arenas to hold n levels, preserving
 // existing entries (and their buffers) for reuse, and invalidates the
-// per-level scan state of every entry beyond n. A pyramid that
+// per-level sweep state of every entry beyond n. A pyramid that
 // shrinks between borrows (smaller frame, larger MinSize) leaves
-// entries [n, high-water) holding the previous scan's response planes
+// entries [n, high-water) holding the previous sweep's response planes
 // and lattices; nothing re-derives them, so any later read of an
-// entry the current scan didn't fill must see "no data" rather than a
+// entry the current sweep didn't fill must see "no data" rather than a
 // stale plane. Buffers are kept (truncated, not freed) so a regrow
 // reuses them.
 func (s *scanScratch) setLevels(n int) {
-	for len(s.levels) < n {
-		s.levels = append(s.levels, nil)
-	}
-	for len(s.maps) < n {
-		s.maps = append(s.maps, new(hog.FeatureMap))
-	}
-	for len(s.grids) < n {
-		s.grids = append(s.grids, new(hog.BlockGrid))
-	}
-	for len(s.its) < n {
-		s.its = append(s.its, new(haar.Integral))
-	}
 	for len(s.resp) < n {
 		s.resp = append(s.resp, nil)
-	}
-	for len(s.qgrids) < n {
-		s.qgrids = append(s.qgrids, nil)
 	}
 	for len(s.qresp) < n {
 		s.qresp = append(s.qresp, nil)
@@ -110,7 +73,6 @@ func (s *scanScratch) setLevels(n int) {
 	}
 	for i := n; i < len(s.nax); i++ {
 		s.resp[i] = s.resp[i][:0]
-		s.qgrids[i] = s.qgrids[i][:0]
 		s.qresp[i] = s.qresp[i][:0]
 		s.lats[i] = svm.Lattice{}
 		s.nax[i] = 0
@@ -137,14 +99,6 @@ func (s *scanScratch) setTasks(n int) ([]rowTask, [][]Detection) {
 func growF64(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growI16 is growF64 for int16 planes.
-func growI16(buf []int16, n int) []int16 {
-	if cap(buf) < n {
-		return make([]int16, n)
 	}
 	return buf[:n]
 }

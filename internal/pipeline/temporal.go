@@ -8,69 +8,81 @@ import (
 	"advdet/internal/svm"
 )
 
-// TemporalCache carries one detector's feature/block/response stack
-// across frames so a scan only recomputes what the camera changed.
-// Each pyramid level is split into cell-aligned tiles (hog.TileMap),
-// fingerprinted per frame, and the dirty tiles are dilated outward —
-// one-cell halo to cells, block span to blocks, window span to anchors
-// — so every refreshed value sees exactly the inputs a cold scan would
-// read, making cached output byte-identical to a full recompute (up to
-// 64-bit fingerprint collisions; see hog.TileMap). The full-rescan
-// path is always kept: any configuration or geometry change falls back
-// to a cold scan of the affected state.
+// TemporalCache carries a frame stack's work across frames so a frame
+// only recomputes what the camera changed. Each pyramid level is split
+// into cell-aligned tiles (hog.TileMap), fingerprinted per frame, and
+// the dirty tiles are dilated outward — one-cell halo to cells, block
+// span to blocks, window span to anchors — so every refreshed value
+// sees exactly the inputs a cold build would read, making cached output
+// byte-identical to a full recompute (up to 64-bit fingerprint
+// collisions; see hog.TileMap). The full-rescan path is always kept:
+// any configuration or geometry change falls back to a cold build of
+// the affected state.
 //
-// Where scanScratch is borrowed from a process-wide pool per scan, a
-// TemporalCache is owned: it persists one stream's per-level feature
-// maps, block grids and response planes between frames and must never
-// be shared — by two detectors, or by two streams — because its
-// contents are keyed to one frame sequence. The zero value is not
-// ready; use NewTemporalCache. Not safe for concurrent use.
+// The cache has two parts. The stack part — tile fingerprints, the
+// per-level refresh modes, dirty-cell prefixes and dirty-block masks —
+// belongs to the FrameStack it owns (Stack) and is shared by every
+// sweep over it; the stack's feature maps, block grids and quantized
+// planes persist with it. The sweep part is keyed by the sweep (model,
+// window, stride, threshold, lane): each sweep keeps its own window-row
+// detections and response planes, valid only when that same sweep ran
+// on the previous frame. A day/dusk model select therefore keeps the
+// stack warm while never serving one model's rows to another.
+//
+// A cache binds its stack to one frame sequence and must never be
+// shared — by two streams, or by two detectors scanning different
+// sequences. The zero value is not ready; use NewTemporalCache. Not
+// safe for concurrent use.
 type TemporalCache struct {
+	stack FrameStack
 	tile  int
-	sig   temporalSig
+	sig   stackSig
 	valid bool
 
-	// Per-level cached state, owned here (never pooled) so no later
-	// scratch borrow can scribble over it.
-	tiles  []*hog.TileMap
-	maps   []*hog.FeatureMap
-	grids  []*hog.BlockGrid
-	resp   [][]float64
-	qgrids [][]int16
-	qresp  [][]int32
+	// Stack part, per pyramid level. mode is this frame's refresh mode;
+	// for tcPartial levels cellPrefix holds an integral image over the
+	// dirty-cell mask, with cw/ch its cell-grid dims, so the sweeps
+	// answer "is this window's cell rectangle clean?" in O(1), and
+	// blockMask/dirtyBlocks the dilated dirty-block mask.
+	tiles       []*hog.TileMap
+	mode        []int
+	cw, ch      []int
+	cellPrefix  [][]int32
+	blockMask   [][]bool
+	dirtyBlocks []int
+	cellMask    []bool // transient: the level being observed
 
-	// Transient per-level dirty masks, reused across levels and frames.
-	cellMask  []bool
-	blockMask []bool
-	anchMask  []bool
-	prefix    []int32 // integral image over blockMask for anchor queries
+	sweeps []*sweepPart
 
-	// Per-level refresh bookkeeping for the window reuse pass: mode is
-	// this frame's refresh mode per level; for tcPartial levels
-	// cellPrefix holds an integral image over that level's dirty-cell
-	// mask (the mask itself is a transient shared across levels), with
-	// cw/ch its cell-grid dims, so stage 3 answers "is this window's
-	// cell rectangle clean?" in O(1) per window.
-	mode       []int
-	cw, ch     []int
-	cellPrefix [][]int32
-
-	// Cached stage-3 output: one detection slice per window-row task,
-	// valid only while rowsValid (same signature, previous scan
-	// completed). The task list is a pure function of the signature,
-	// so the task index is stable across frames.
-	rowDets   [][]Detection
-	rowsValid bool
-
-	frame TemporalStats // last frame's tile accounting
+	frame TemporalStats // current frame's tile accounting
 	stats TemporalStats // cumulative since construction / Invalidate
 }
+
+// sweepPart is one sweep's cross-frame state: its stage-3 window-row
+// detections (one slice per row task; the task list is a pure function
+// of the signature, so the task index is stable across frames) and, on
+// the plane lanes, its per-level response planes.
+type sweepPart struct {
+	sig sweepSig
+	// gen is the stack generation of the frame the rows and planes
+	// were computed on (0 = none).
+	gen      uint64
+	rowDets  [][]Detection
+	resp     [][]float64
+	qresp    [][]int32
+	anchMask []bool
+	prefix   []int32 // integral image over a block mask for anchor queries
+}
+
+// maxSweepParts bounds the sweep parts one cache keeps: a System runs
+// at most three sweeps (day, dusk, pedestrian) over its stack.
+const maxSweepParts = 4
 
 // TemporalStats is the tile accounting of a temporal cache: Hits are
 // tiles reused unchanged, Misses are tiles whose content changed since
 // the previous frame, Refreshes are tiles hashed with no comparable
 // fingerprint (first frame, invalidation, geometry change). Frames
-// counts scans served.
+// counts frames served.
 type TemporalStats struct {
 	Frames    int
 	Hits      int
@@ -88,13 +100,21 @@ func (s TemporalStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// temporalSig is the cache key outside the pixels themselves: any
-// field changing means cached state may describe different geometry or
-// a different model, so the whole cache is discarded. The frame
-// dimensions are included because every level's geometry derives from
-// them — which also covers the shrink seam where a narrower frame
-// keeps the same tile count while the cell grid changes shape.
-type temporalSig struct {
+// stackSig keys the stack part outside the pixels themselves: any
+// field changing means cached levels may describe different geometry,
+// so every fingerprint is discarded. The frame dimensions are included
+// because every level's geometry derives from them — which also covers
+// the shrink seam where a narrower frame keeps the same tile count
+// while the cell grid changes shape.
+type stackSig struct {
+	cfg   hog.Config
+	scale float64
+	w, h  int
+}
+
+// sweepSig keys a sweep part: any field changing means cached rows or
+// planes may describe a different window lattice or model.
+type sweepSig struct {
 	model              *svm.Model
 	cfg                hog.Config
 	winW, winH, stride int
@@ -113,99 +133,125 @@ const (
 )
 
 // NewTemporalCache returns an empty cache using the default 64-px
-// tile size. Attach it to one detector's Temporal field.
+// tile size. Attach it to one detector's Temporal field, or sweep its
+// Stack directly.
 func NewTemporalCache() *TemporalCache {
-	return &TemporalCache{tile: hog.DefaultTileSize}
+	tc := &TemporalCache{tile: hog.DefaultTileSize}
+	tc.stack.tc = tc
+	return tc
 }
+
+// Stack returns the frame stack whose work the cache carries across
+// frames.
+func (tc *TemporalCache) Stack() *FrameStack { return &tc.stack }
 
 // Stats returns the cumulative tile accounting.
 func (tc *TemporalCache) Stats() TemporalStats { return tc.stats }
 
-// FrameStats returns the tile accounting of the most recent scan.
+// FrameStats returns the tile accounting of the most recent frame.
 func (tc *TemporalCache) FrameStats() TemporalStats { return tc.frame }
 
-// Invalidate discards every fingerprint and cached plane: the next
-// scan is cold. Callers invalidate on reconfiguration and on any
-// out-of-band reason to distrust cross-frame continuity; configuration
-// and geometry changes are detected automatically.
+// Invalidate discards every fingerprint: the next frame builds cold,
+// and no sweep reuses rows or planes across it. Callers invalidate on
+// reconfiguration and on any out-of-band reason to distrust
+// cross-frame continuity; configuration and geometry changes are
+// detected automatically.
 func (tc *TemporalCache) Invalidate() {
 	tc.valid = false
 }
 
-// begin opens one scan: a signature mismatch (or an explicit
-// Invalidate) discards all cached state, and the per-level arenas are
-// sized for nl levels with entries beyond nl invalidated — the same
-// stale-state discipline as scanScratch.setLevels, because a pyramid
-// that shrinks and regrows must not resurrect another geometry's
-// planes.
-func (tc *TemporalCache) begin(sig temporalSig, nl int) {
+// begin opens one frame for the stack part: a signature mismatch (or
+// an explicit Invalidate) discards every fingerprint.
+func (tc *TemporalCache) begin(sig stackSig) {
 	if !tc.valid || sig != tc.sig {
 		tc.sig = sig
-		tc.valid = true
-		tc.rowsValid = false
-		for i := range tc.tiles {
-			tc.tiles[i].Invalidate()
-			tc.resp[i] = tc.resp[i][:0]
-			tc.qgrids[i] = tc.qgrids[i][:0]
-			tc.qresp[i] = tc.qresp[i][:0]
+		for _, t := range tc.tiles {
+			t.Invalidate()
 		}
 	}
-	for len(tc.tiles) < nl {
+	tc.valid = true
+	tc.frame = TemporalStats{Frames: 1}
+	tc.stats.Frames++
+}
+
+// part returns the sweep part for sig, claiming the least recently
+// used one when the sweep has none yet.
+func (tc *TemporalCache) part(sig sweepSig) *sweepPart {
+	var lru *sweepPart
+	for _, p := range tc.sweeps {
+		if p.sig == sig {
+			return p
+		}
+		if lru == nil || p.gen < lru.gen {
+			lru = p
+		}
+	}
+	if len(tc.sweeps) < maxSweepParts || lru == nil {
+		lru = new(sweepPart) // lint:alloc once per sweep signature
+		tc.sweeps = append(tc.sweeps, lru)
+	}
+	*lru = sweepPart{sig: sig, rowDets: lru.rowDets[:0], resp: lru.resp, qresp: lru.qresp,
+		anchMask: lru.anchMask, prefix: lru.prefix}
+	return lru
+}
+
+// setLevels sizes the part's plane arenas for n levels; a fresh part
+// holds no planes, so every level starts empty.
+func (p *sweepPart) setLevels(n int) {
+	for len(p.resp) < n {
+		p.resp = append(p.resp, nil)
+		p.qresp = append(p.qresp, nil)
+	}
+}
+
+// observe fingerprints level i and derives its refresh mode. prev
+// reports whether the level's stack was current on the previous frame;
+// otherwise its tiles have nothing comparable to match. For tcPartial
+// the dirty-cell mask (with its one-cell halo) is left in
+// tc.cellMask[:cw*ch] for the feature refresh, its integral image in
+// tc.cellPrefix[i] for the sweeps' window reuse checks, and its
+// block dilation in tc.blockMask[i].
+func (tc *TemporalCache) observe(i int, level *img.Gray, c hog.Config, prev bool) int {
+	for len(tc.tiles) <= i {
 		tc.tiles = append(tc.tiles, hog.NewTileMap(tc.tile))
-		tc.maps = append(tc.maps, new(hog.FeatureMap))
-		tc.grids = append(tc.grids, new(hog.BlockGrid))
-		tc.resp = append(tc.resp, nil)
-		tc.qgrids = append(tc.qgrids, nil)
-		tc.qresp = append(tc.qresp, nil)
 		tc.mode = append(tc.mode, tcFull)
 		tc.cw = append(tc.cw, 0)
 		tc.ch = append(tc.ch, 0)
 		tc.cellPrefix = append(tc.cellPrefix, nil)
+		tc.blockMask = append(tc.blockMask, nil)
+		tc.dirtyBlocks = append(tc.dirtyBlocks, 0)
 	}
-	for i := nl; i < len(tc.tiles); i++ {
+	if !prev || !tc.valid {
 		tc.tiles[i].Invalidate()
-		tc.resp[i] = tc.resp[i][:0]
-		tc.qgrids[i] = tc.qgrids[i][:0]
-		tc.qresp[i] = tc.qresp[i][:0]
 	}
-	for i := 0; i < nl; i++ {
-		tc.mode[i] = tcFull
-	}
-	tc.frame = TemporalStats{}
-	tc.frame.Frames = 1
-	tc.stats.Frames++
-}
-
-// observe fingerprints level i and derives its refresh mode. For
-// tcPartial the cell mask (with its one-cell halo) is left in
-// tc.cellMask[:cw*ch] for the feature refresh, and its integral image
-// in tc.cellPrefix[i] for the stage-3 window reuse checks (the shared
-// cell mask is overwritten by the next level's observe).
-func (tc *TemporalCache) observe(i int, level *img.Gray, c hog.Config) int {
 	mode := tc.observeTiles(i, level, c)
 	tc.mode[i] = mode
-	if mode == tcPartial {
-		cw, ch := c.CellsFor(level.W, level.H)
-		tc.cw[i], tc.ch[i] = cw, ch
-		pre := growI32(tc.cellPrefix[i], (cw+1)*(ch+1))
-		tc.cellPrefix[i] = pre
-		for x := 0; x <= cw; x++ {
-			pre[x] = 0
-		}
-		for y := 0; y < ch; y++ {
-			rowSum := int32(0)
-			src := tc.cellMask[y*cw : (y+1)*cw]
-			dst := pre[(y+1)*(cw+1):]
-			prev := pre[y*(cw+1):]
-			dst[0] = 0
-			for x := 0; x < cw; x++ {
-				if src[x] {
-					rowSum++
-				}
-				dst[x+1] = prev[x+1] + rowSum
+	if mode != tcPartial {
+		return mode
+	}
+	cw, ch := c.CellsFor(level.W, level.H)
+	tc.cw[i], tc.ch[i] = cw, ch
+	pre := growI32(tc.cellPrefix[i], (cw+1)*(ch+1))
+	tc.cellPrefix[i] = pre
+	for x := 0; x <= cw; x++ {
+		pre[x] = 0
+	}
+	for y := 0; y < ch; y++ {
+		rowSum := int32(0)
+		src := tc.cellMask[y*cw : (y+1)*cw]
+		dst := pre[(y+1)*(cw+1):]
+		above := pre[y*(cw+1):]
+		dst[0] = 0
+		for x := 0; x < cw; x++ {
+			if src[x] {
+				rowSum++
 			}
+			dst[x+1] = above[x+1] + rowSum
 		}
 	}
+	nbx, nby := max(cw-c.BlockCells+1, 0), max(ch-c.BlockCells+1, 0)
+	tc.blockMask[i] = growBool(tc.blockMask[i], nbx*nby)
+	tc.dirtyBlocks[i] = hog.DilateCellsToBlocks(c, tc.cellMask[:cw*ch], cw, nbx, nby, tc.blockMask[i])
 	return mode
 }
 
@@ -265,28 +311,21 @@ func (tc *TemporalCache) observeTiles(i int, level *img.Gray, c hog.Config) int 
 	return tcPartial
 }
 
-// dirtyBlocks dilates the current cell mask to the level's block mask,
-// left in tc.blockMask[:nbx*nby]; returns the dirty-block count.
-func (tc *TemporalCache) dirtyBlocks(c hog.Config, cw, ch, nbx, nby int) int {
-	tc.blockMask = growBool(tc.blockMask, nbx*nby)
-	return hog.DilateCellsToBlocks(c, tc.cellMask[:cw*ch], cw, nbx, nby, tc.blockMask[:nbx*nby])
-}
-
-// dirtyAnchors dilates the current block mask to the lattice's anchor
-// mask, left in tc.anchMask[:NAX*NAY]: an anchor is dirty when the
-// block rectangle its window spans contains any dirty block (a
+// dirtyAnchors dilates a level's dirty-block mask to the lattice's
+// anchor mask, left in p.anchMask[:NAX*NAY]: an anchor is dirty when
+// the block rectangle its window spans contains any dirty block (a
 // conservative rectangle for strided block layouts). Answered with an
 // integral image over the block mask so the pass is linear in anchors.
-func (tc *TemporalCache) dirtyAnchors(lat svm.Lattice, bw, bh int) int {
+func (sp *sweepPart) dirtyAnchors(blockMask []bool, lat svm.Lattice, bw, bh int) int {
 	nbx, nby := lat.NBX, lat.NBY
-	tc.prefix = growI32(tc.prefix, (nbx+1)*(nby+1))
-	p := tc.prefix[:(nbx+1)*(nby+1)]
+	sp.prefix = growI32(sp.prefix, (nbx+1)*(nby+1))
+	p := sp.prefix[:(nbx+1)*(nby+1)]
 	for x := 0; x <= nbx; x++ {
 		p[x] = 0
 	}
 	for y := 0; y < nby; y++ {
 		rowSum := int32(0)
-		src := tc.blockMask[y*nbx : (y+1)*nbx]
+		src := blockMask[y*nbx : (y+1)*nbx]
 		dst := p[(y+1)*(nbx+1):]
 		prev := p[y*(nbx+1):]
 		dst[0] = 0
@@ -299,12 +338,12 @@ func (tc *TemporalCache) dirtyAnchors(lat svm.Lattice, bw, bh int) int {
 	}
 	spanX := (bw-1)*lat.BlockStride + 1
 	spanY := (bh-1)*lat.BlockStride + 1
-	tc.anchMask = growBool(tc.anchMask, lat.NAX*lat.NAY)
+	sp.anchMask = growBool(sp.anchMask, lat.NAX*lat.NAY)
 	n := 0
 	for ay := 0; ay < lat.NAY; ay++ {
 		y0 := ay * lat.StepY
 		y1 := y0 + spanY
-		row := tc.anchMask[ay*lat.NAX : (ay+1)*lat.NAX]
+		row := sp.anchMask[ay*lat.NAX : (ay+1)*lat.NAX]
 		top := p[y0*(nbx+1):]
 		bot := p[y1*(nbx+1):]
 		for ax := 0; ax < lat.NAX; ax++ {
@@ -351,16 +390,17 @@ func (tc *TemporalCache) rowServable(c hog.Config, level, y, winH int, blockPath
 }
 
 // storeRows retains stage 3's per-row output for the next frame's
-// reuse. Only the slice headers are copied out of the pooled results
-// arena; the backing arrays are freshly appended by each scan, never
-// pooled, so holding them across frames is safe.
-func (tc *TemporalCache) storeRows(results [][]Detection) {
-	if cap(tc.rowDets) < len(results) {
-		tc.rowDets = make([][]Detection, len(results)) // lint:alloc sized once per signature
+// reuse and stamps the part with the frame it describes. Only the
+// slice headers are copied out of the pooled results arena; the
+// backing arrays are freshly appended by each sweep, never pooled, so
+// holding them across frames is safe.
+func (sp *sweepPart) storeRows(results [][]Detection, gen uint64) {
+	if cap(sp.rowDets) < len(results) {
+		sp.rowDets = make([][]Detection, len(results)) // lint:alloc sized once per signature
 	}
-	tc.rowDets = tc.rowDets[:len(results)]
-	copy(tc.rowDets, results)
-	tc.rowsValid = true
+	sp.rowDets = sp.rowDets[:len(results)]
+	copy(sp.rowDets, results)
+	sp.gen = gen
 }
 
 // requantDirtyBlocks requantizes only the dirty blocks' Q1.14 spans

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"advdet/internal/pipeline"
 )
 
 // ledgerDrive pushes n frames of a day->dusk->dark->day drive through
@@ -128,36 +130,95 @@ func TestDetectionsByteIdenticalWithLedger(t *testing.T) {
 	}
 }
 
+// Per-layer allocation budgets of one steady-state 160x90 day frame at
+// two scan workers with the ledger on, each the measured count on
+// go1.24.0 (the toolchain go.mod pins). A frame's budget is their sum,
+// so a regression names the layer that grew.
+const (
+	// stackAllocBudget: BeginRGB's gray conversion into the stack's own
+	// buffer plus the pyramid, feature-map and block-grid build both
+	// sweeps read (par fan-out goroutines and their closures).
+	stackAllocBudget = 23
+	// vehicleSweepAllocBudget: the day model's window sweep over a built
+	// stack, NMS included.
+	vehicleSweepAllocBudget = 13
+	// pedestrianSweepAllocBudget: the pedestrian window sweep over the
+	// same stack, NMS included.
+	pedestrianSweepAllocBudget = 9
+	// adaptiveAllocBudget: the adaptive frame loop and the ledger feed
+	// (reused encode buffer, arena-backed chain) without detection.
+	adaptiveAllocBudget = 8
+)
+
 // TestProcessFrameAllocsWithLedger is the hot-path alloc gate with the
-// ledger enabled: a steady-state frame — scan included — must stay
-// within the scan path's 40-object budget; the ledger feed (reused
-// encode buffer, arena-backed chain) must not add per-frame
-// allocations on top.
+// ledger enabled. Each layer of a steady-state frame is measured
+// against its own budget, and the whole frame against their sum:
+//
+//   - the two sweeps, each over a stack already built this frame;
+//   - the frame stack, as both sweeps over a freshly opened frame
+//     minus the two sweeps alone;
+//   - the adaptive loop and ledger, as the same system without
+//     detection.
 func TestProcessFrameAllocsWithLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	d := getDets(t)
-	led := NewLedger(LedgerConfig{})
-	sys, err := NewSystem(d, WithLedger(led))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	const workers = 2
 	sc := RenderScene(500, 160, 90, Day)
-	// Warm the pools: first frames grow every buffer to steady state.
-	for i := 0; i < 8; i++ {
-		if _, err := sys.ProcessFrame(sc); err != nil {
-			t.Fatal(err)
+	allocs := func(f func()) int {
+		// Warm the pools: first runs grow every buffer to steady state.
+		for i := 0; i < 8; i++ {
+			f()
+		}
+		return int(testing.AllocsPerRun(20, f))
+	}
+	sweep := func(st *pipeline.FrameStack, det interface {
+		SweepCtx(context.Context, *pipeline.FrameStack, int, *pipeline.ScanTimings) ([]Detection, error)
+	}) func() {
+		return func() {
+			if _, err := det.SweepCtx(ctx, st, workers, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := sys.ProcessFrame(sc); err != nil {
+	st := pipeline.NewFrameStack()
+	vehicle, pedestrian := sweep(st, d.Day), sweep(st, d.Pedestrian)
+	both := allocs(func() {
+		st.BeginRGB(sc.Frame)
+		vehicle()
+		pedestrian()
+	})
+	veh, ped := allocs(vehicle), allocs(pedestrian)
+	frame := func(opts ...Option) func() {
+		sys, err := NewSystem(d, append(opts, WithLedger(NewLedger(LedgerConfig{})), WithParallelism(workers))...)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	const maxAllocs = 40
-	if allocs > maxAllocs {
-		t.Fatalf("steady-state frame with ledger allocates %.0f objects, want <= %d", allocs, maxAllocs)
+		return func() {
+			if _, err := sys.ProcessFrame(sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, l := range []struct {
+		name   string
+		got    int
+		budget int
+	}{
+		{"frame stack", both - veh - ped, stackAllocBudget},
+		{"vehicle sweep", veh, vehicleSweepAllocBudget},
+		{"pedestrian sweep", ped, pedestrianSweepAllocBudget},
+		{"adaptive+ledger", allocs(frame(WithTimingOnly())), adaptiveAllocBudget},
+	} {
+		if l.got > l.budget {
+			t.Errorf("%s allocates %d objects per frame, budget %d", l.name, l.got, l.budget)
+		}
+	}
+	const frameBudget = stackAllocBudget + vehicleSweepAllocBudget + pedestrianSweepAllocBudget + adaptiveAllocBudget
+	if got := allocs(frame()); got > frameBudget {
+		t.Fatalf("steady-state frame with ledger allocates %d objects, budget %d (sum of the layer budgets)", got, frameBudget)
 	}
 }
 

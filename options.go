@@ -82,24 +82,26 @@ func WithRetryPolicy(rp RetryPolicy) Option {
 
 // WithQuantizedScan scores the HOG scans through the int16/int32
 // fixed-point block-response datapath — the software rendition of the
-// PL's DSP48 window evaluators. Detection boxes are identical to the
-// float scan (borderline margins re-score through the float path);
-// reported scores may differ by at most the quantizer's analytic
-// error bound. Models whose weights exceed the quantizer's range fall
-// back to the float path silently.
+// PL's DSP48 window evaluators. Detections are identical to the float
+// scan, boxes and scores: the integer datapath only rejects windows
+// its analytic error bound proves below threshold, and every other
+// window re-scores through the float path. Models whose weights exceed
+// the quantizer's range fall back to the float path silently.
 func WithQuantizedScan() Option {
 	return func(o *SystemOptions) { o.ScanQuantized = true }
 }
 
-// WithTemporalCache reuses each HOG detector's feature, block and
-// response buffers across consecutive frames, fingerprinting the frame
+// WithTemporalCache reuses the system's HOG frame stack — feature maps,
+// block grids, and each sweep's window rows and response planes —
+// across consecutive frames, fingerprinting the frame
 // in 64x64 tiles and recomputing only what each frame's changed tiles
 // invalidate — the software rendition of persistent BRAM line buffers
 // surviving between frames in the PL. Detection output is
 // byte-identical to a cold scan of every frame; on static-camera
 // footage the warm-frame scan cost drops by the fraction of tiles
-// unchanged. Caches are per-detector and are invalidated automatically
-// whenever a partial reconfiguration is requested.
+// unchanged. The cache belongs to the system, survives day/dusk model
+// selects, and is invalidated whenever a partial reconfiguration is
+// requested.
 func WithTemporalCache() Option {
 	return func(o *SystemOptions) { o.ScanTemporalCache = true }
 }

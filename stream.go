@@ -113,10 +113,10 @@ func WithStreamQuantizedScan() StreamOption {
 	return func(c *streamConfig) { c.opt.ScanQuantized = true }
 }
 
-// WithStreamTemporalCache reuses this stream's feature/block/response
-// buffers across its consecutive frames (see WithTemporalCache). Each
-// stream gets its own caches, so the option is safe on engines whose
-// streams share one Detectors value.
+// WithStreamTemporalCache reuses this stream's frame stack across its
+// consecutive frames (see WithTemporalCache). Each stream gets its own
+// cache, so the option is safe on engines whose streams share one
+// Detectors value.
 func WithStreamTemporalCache() StreamOption {
 	return func(c *streamConfig) { c.opt.ScanTemporalCache = true }
 }
