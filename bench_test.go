@@ -540,22 +540,41 @@ func BenchmarkSceneRender(b *testing.B) {
 // system on the serial path against the worker pool at NumCPU — the
 // software stand-in for the PL's replicated window-evaluation lanes.
 // Output is identical on both paths; only wall time differs.
+//
+// The 1080p-day and 1080p-dusk cases are one steady-state frame at the
+// paper's 1920x1080 and NumCPU workers, booted in the frame's
+// condition so no reconfiguration runs: colour conversion, the shared
+// HOG front end, both window sweeps, tracking and events. Run with
+// -benchmem; allocs/op is the per-frame steady-state count.
 func BenchmarkDetectProcessFrame(b *testing.B) {
 	day, dark, ped := benchDetectors(b)
 	dets := Detectors{Day: day, Dusk: day, Dark: dark, Pedestrian: ped}
-	sc := synth.RenderScene(synth.NewRNG(9), synth.DefaultSceneConfig(640, 360, synth.Day))
 	for _, bc := range []struct {
 		name    string
 		par     int
 		metrics bool
-	}{{"serial", 1, false}, {"parallel", 0, false}, {"metrics", 1, true}} {
+		w, h    int
+		cond    synth.Condition
+	}{
+		{"serial", 1, false, 640, 360, synth.Day},
+		{"parallel", 0, false, 640, 360, synth.Day},
+		{"metrics", 1, true, 640, 360, synth.Day},
+		{"1080p-day", 0, false, 1920, 1080, synth.Day},
+		{"1080p-dusk", 0, false, 1920, 1080, synth.Dusk},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
-			opts := []Option{WithParallelism(bc.par)}
+			sc := synth.RenderScene(synth.NewRNG(9), synth.DefaultSceneConfig(bc.w, bc.h, bc.cond))
+			opts := []Option{WithParallelism(bc.par), WithInitial(bc.cond)}
 			if bc.metrics {
 				opts = append(opts, WithMetrics())
 			}
 			sys, err := NewSystem(dets, opts...)
 			if err != nil {
+				b.Fatal(err)
+			}
+			// Warm-up: the first frame grows the pooled scratch and
+			// the frame stack's buffers, outside the measured region.
+			if _, err := sys.ProcessFrame(sc); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()

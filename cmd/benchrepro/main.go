@@ -11,7 +11,7 @@
 // Table I datasets (for CI-speed runs). -json runs the timing-mode
 // performance benchmark plus the fleet capacity experiment (fast, no
 // training) and writes the schema-stable advdet-bench/v1 report
-// (e.g. BENCH_pr10.json) to the given file; combine with other flags
+// (e.g. bench-report.json) to the given file; combine with other flags
 // to also run those sections. -uhd additionally measures the temporal
 // scan cache at 3840x2160 for the report's uhd row. -fleet runs the
 // multi-stream capacity experiment alone, with
@@ -45,7 +45,7 @@ func main() {
 	all := flag.Bool("all", false, "run everything")
 	quick := flag.Bool("quick", false, "smaller Table I datasets")
 	repeats := flag.Int("repeats", 1, "measurement repeats per reconfiguration controller")
-	jsonOut := flag.String("json", "", "write the machine-readable advdet-bench/v1 performance report (e.g. BENCH_pr10.json) to this file")
+	jsonOut := flag.String("json", "", "write the machine-readable advdet-bench/v1 performance report (e.g. bench-report.json) to this file")
 	uhd := flag.Bool("uhd", false, "with -json, add the 3840x2160 temporal-cache cold/warm row (slow: UHD frames)")
 	flag.Parse()
 

@@ -91,9 +91,10 @@ func WithFleetWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.fleet.Workers = n }
 }
 
-// WithQueueDepth bounds the admission queue; a full queue makes
-// Stream.Process fail fast with ErrOverloaded instead of queueing
-// unboundedly. n <= 0 selects twice the worker count.
+// WithQueueDepth bounds how many admitted frames may wait for an
+// executor at once; beyond it Stream.Process fails fast with
+// ErrOverloaded instead of queueing unboundedly. n <= 0 selects twice
+// the worker count.
 func WithQueueDepth(n int) EngineOption {
 	return func(c *engineConfig) { c.fleet.QueueDepth = n }
 }

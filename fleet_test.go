@@ -165,9 +165,10 @@ func TestStreamCloseAndEngineCloseErrors(t *testing.T) {
 // complete once their submitters' contexts resolve.
 func TestFleetOverloadShedsGracefully(t *testing.T) {
 	d := getDets(t)
-	// One executor, a one-deep queue, and a batcher that can only
-	// flush by deadline far in the future: admitted frames pile up
-	// behind the batcher and the queue fills immediately.
+	// One executor, an admission bound of one, and a batcher that can
+	// only flush by deadline far in the future: the first admitted
+	// frame waits in the batcher, holding the whole bound, so every
+	// other frame is shed.
 	eng := NewEngine(d,
 		WithFleetWorkers(1),
 		WithQueueDepth(1),
@@ -202,13 +203,13 @@ func TestFleetOverloadShedsGracefully(t *testing.T) {
 			}
 		}()
 	}
-	// Overload rejections are immediate; wait for them, then release
-	// the stuck admissions by cancelling.
+	// Overload rejections are immediate; wait for all of them, then
+	// release the stuck admission by cancelling.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		mu.Lock()
 		n := overloaded
 		mu.Unlock()
-		if n > 0 || time.Now().After(deadline) {
+		if n == streams-1 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -218,6 +219,10 @@ func TestFleetOverloadShedsGracefully(t *testing.T) {
 	eng.Close() // must not deadlock with abandoned items in the batcher
 	if overloaded == 0 {
 		t.Fatalf("no frame was shed with ErrOverloaded (completed=%d cancelled=%d)", completed, cancelled)
+	}
+	if overloaded != streams-1 || cancelled != 1 {
+		t.Fatalf("overloaded=%d cancelled=%d completed=%d, want %d shed and the one admitted frame cancelled",
+			overloaded, cancelled, completed, streams-1)
 	}
 	if overloaded+cancelled+completed != streams {
 		t.Fatalf("accounted for %d of %d frames", overloaded+cancelled+completed, streams)

@@ -724,7 +724,7 @@ type sweeper interface {
 func (s *System) frameGray(sc *synth.Scene) *img.Gray {
 	if !s.stackOpen {
 		s.stackOpen = true
-		return s.stack.BeginRGB(sc.Frame)
+		return s.stack.BeginRGB(sc.Frame, s.workers())
 	}
 	return s.stack.Source()
 }

@@ -1,12 +1,13 @@
 // Package fleet multiplexes N concurrent camera streams over one
-// shared, bounded worker pool. Admission is a bounded channel with
-// backpressure — when the queue is full Submit fails fast with the
-// typed ErrOverloaded instead of queueing unboundedly — and admitted
-// work flows through a size-or-deadline batcher: items accumulate
-// until the batch is full or the oldest item has waited MaxWait, then
-// the whole batch is handed to the executor pool. Every item carries
-// timing stamps (enqueued, flushed, started, finished) so callers can
-// attribute frame latency to queueing, batching and execution.
+// shared, bounded worker pool. Admission is bounded with backpressure
+// — once QueueDepth admitted items are waiting for an executor, Submit
+// fails fast with the typed ErrOverloaded instead of queueing
+// unboundedly — and admitted work flows through a size-or-deadline
+// batcher: items accumulate until the batch is full or the oldest item
+// has waited MaxWait, then the whole batch is handed to the executor
+// pool. Every item carries timing stamps (enqueued, flushed, started,
+// finished) so callers can attribute frame latency to queueing,
+// batching and execution.
 //
 // The dispatcher is the software analogue of the paper's frame-slot
 // arbitration: a fixed fabric (the executor pool) time-shared by
@@ -47,8 +48,10 @@ var (
 type Config struct {
 	// Workers is the executor pool size; <= 0 selects runtime.NumCPU().
 	Workers int
-	// QueueDepth bounds the admission channel; a full queue makes
-	// Submit fail with ErrOverloaded. <= 0 selects 2×Workers.
+	// QueueDepth bounds how many admitted items may wait for an
+	// executor — in the admission queue, in the batcher's open batch,
+	// or mid hand-off — at once; beyond it Submit fails with
+	// ErrOverloaded. <= 0 selects 2×Workers.
 	QueueDepth int
 	// MaxBatch flushes a batch when it reaches this many items;
 	// <= 0 selects 4.
@@ -130,6 +133,12 @@ type Dispatcher struct {
 	shutdown func()
 	once     sync.Once
 
+	// waiting counts admitted items no executor has taken yet. It is
+	// the admission bound: the batcher drains the queue channel into
+	// its open batch as items arrive, so the channel's own fullness
+	// would depend on whether the batcher ran between two sends.
+	waiting atomic.Int64
+
 	admitted  atomic.Uint64
 	rejected  atomic.Uint64
 	executed  atomic.Uint64
@@ -196,14 +205,16 @@ func (d *Dispatcher) Submit(ctx context.Context, run func(context.Context)) (Tim
 		d.mu.RUnlock()
 		return Timing{}, fmt.Errorf("fleet: submit: %w", ErrClosed)
 	}
-	select {
-	case d.in <- it:
-		d.mu.RUnlock()
-	default:
+	if d.waiting.Add(1) > int64(d.cfg.QueueDepth) {
+		d.waiting.Add(-1)
 		d.mu.RUnlock()
 		d.rejected.Add(1)
 		return Timing{}, fmt.Errorf("fleet: submit: %w", ErrOverloaded)
 	}
+	// Never blocks: the channel holds QueueDepth items and only
+	// waiting ones are ever in it.
+	d.in <- it
+	d.mu.RUnlock()
 	d.admitted.Add(1)
 
 	select {
@@ -279,6 +290,7 @@ func (d *Dispatcher) flush(batch *[]*item, timer *time.Timer) {
 	for _, it := range *batch {
 		it.tm.Flushed = now
 		d.exec <- it
+		d.waiting.Add(-1)
 	}
 	*batch = (*batch)[:0]
 }

@@ -102,9 +102,9 @@ func blockedDispatcher(t *testing.T, depth int) (d *Dispatcher, gate chan struct
 
 func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 	d, gate, blockerDone := blockedDispatcher(t, 1)
-	// With the executor parked, at most three more submissions can be
-	// in flight (one blocked in the batcher's flush, one batched, one
-	// queued); sixteen concurrent submitters must see rejections.
+	// With the executor parked, one more submission can wait (blocked
+	// in the batcher's flush, holding the depth-1 bound); sixteen
+	// concurrent submitters must see rejections.
 	const submitters = 16
 	var rejected, accepted atomic.Int32
 	var wg sync.WaitGroup
@@ -149,6 +149,48 @@ func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 	d.Close()
 	if st := d.Stats(); st.Admitted != st.Executed+st.Abandoned {
 		t.Fatalf("admitted %d != executed %d + abandoned %d", st.Admitted, st.Executed, st.Abandoned)
+	}
+}
+
+// TestAdmissionBoundCountsBatchedItems pins the admission bound to
+// the items waiting for an executor, wherever they wait: items the
+// batcher has already drained from the queue channel into its open
+// batch still count, so with QueueDepth items held by a batch that
+// cannot flush, the next Submit is refused at once, however the
+// batcher goroutine happened to be scheduled.
+func TestAdmissionBoundCountsBatchedItems(t *testing.T) {
+	const depth = 2
+	d := NewDispatcher(Config{Workers: 1, QueueDepth: depth, MaxBatch: 1000, MaxWait: time.Hour})
+	var wg sync.WaitGroup
+	wg.Add(depth)
+	for i := 0; i < depth; i++ {
+		go func() {
+			defer wg.Done()
+			if _, err := d.Submit(context.Background(), func(context.Context) {}); err != nil {
+				t.Errorf("admitted submit: %v", err)
+			}
+		}()
+	}
+	for d.Stats().Admitted < depth {
+		time.Sleep(time.Millisecond)
+	}
+	// Give the batcher every chance to drain the channel first: the
+	// bound must not depend on it.
+	time.Sleep(10 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		// An admitted item would wait an hour for its batch; the
+		// timeout turns that into an abandon error instead of a hang.
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		_, err := d.Submit(ctx, func(context.Context) {})
+		cancel()
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("submit %d beyond the bound: err = %v, want ErrOverloaded", i, err)
+		}
+	}
+	d.Close() // flushes the held batch; the admitted items run
+	wg.Wait()
+	if st := d.Stats(); st.Admitted != depth || st.Executed != depth || st.Rejected != 3 {
+		t.Fatalf("stats %+v, want %d admitted and executed, 3 rejected", st, depth)
 	}
 }
 

@@ -80,15 +80,57 @@ func (bg *BlockGrid) ComputeCtx(ctx context.Context, fm *FeatureMap, workers int
 // of norm, which is what lets ComputeCtx fan rows across workers.
 //
 // The sum of squares for the first l2hys pass is accumulated during
-// the copy itself, in the same element order (ascending index) as
-// l2hys's own loop, so the fused result is bitwise identical to
-// copy-then-normalize while touching each element one fewer time —
-// this stage runs once per pyramid level per frame and its memory
-// traffic is on the scan's critical path.
+// the copy itself, in l2hys's element order, so the fused result is
+// bitwise identical to copy-then-normalize while touching each element
+// one fewer time. Blocks go in adjacent pairs (normalizePair), whose
+// two sum-of-squares chains interleave; an odd last block takes
+// normalizeBlock. Each block's arithmetic is normalizeBlock's, so the
+// pairing is bitwise neutral.
+//
+// lint:hotpath
 func (bg *BlockGrid) normalizeRow(fm *FeatureMap, cy int) {
-	for cx := 0; cx < bg.nbx; cx++ {
+	cx := 0
+	for ; cx+1 < bg.nbx; cx += 2 {
+		bg.normalizePair(fm, cx, cy)
+	}
+	if cx < bg.nbx {
 		bg.normalizeBlock(fm, cx, cy)
 	}
+}
+
+// normalizePair is normalizeBlock for the two adjacent blocks (cx, cy)
+// and (cx+1, cy) at once. A block's first and second l2hys sums of
+// squares are each one float64 add chain, so one block at a time
+// leaves the core waiting on add latency; here the two blocks' chains
+// run side by side in one loop. Every chain still adds the same values
+// in the same ascending order as normalizeBlock and l2hysSS, so both
+// vectors are bitwise identical to normalizing the blocks one by one.
+//
+// lint:hotpath
+func (bg *BlockGrid) normalizePair(fm *FeatureMap, cx, cy int) {
+	c := bg.Cfg
+	n := bg.blockLen
+	a := bg.norm[(cy*bg.nbx+cx)*n:][:n]
+	b := bg.norm[(cy*bg.nbx+cx+1)*n:][:n]
+	j := 0
+	var ssa, ssb float64
+	for dy := 0; dy < c.BlockCells; dy++ {
+		// Block cx+1's cells start one cell after block cx's.
+		row := ((cy+dy)*fm.cw + cx) * c.Bins
+		for dx := 0; dx < c.BlockCells; dx++ {
+			srcA := fm.hist[row+dx*c.Bins:][:c.Bins]
+			srcB := fm.hist[row+(dx+1)*c.Bins:][:c.Bins]
+			da, db := a[j:][:c.Bins], b[j:][:c.Bins]
+			for i, x := range srcA {
+				y := srcB[i]
+				da[i], db[i] = x, y
+				ssa += x * x
+				ssb += y * y
+			}
+			j += c.Bins
+		}
+	}
+	l2hysPair(a, b, c.ClipL2Hys, ssa, ssb)
 }
 
 // normalizeBlock copies and L2Hys-normalizes the single block whose

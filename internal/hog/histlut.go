@@ -78,6 +78,15 @@ func ensureHistLUT() {
 // float64, so the result matches the scalar stage exactly. Cell rows
 // write disjoint hist slices, preserving the row-parallel determinism
 // contract.
+//
+// Cells go in adjacent pairs: one pass over a pixel row adds pixel x
+// of the left cell and pixel x of the right cell in turn, so the two
+// cells' read-modify-write chains through their bins overlap instead
+// of queueing. Each cell still takes its own pixels in y-major,
+// x-ascending order, so the pairing is bitwise neutral; an odd last
+// cell takes the single-cell kernel.
+//
+// lint:hotpath
 func (c Config) cellRowHistogramsLUT(pix []uint8, imgW, imgH, cy, cw int, hist []float64) {
 	cs := c.CellSize
 	for y := cy * cs; y < (cy+1)*cs; y++ {
@@ -91,22 +100,33 @@ func (c Config) cellRowHistogramsLUT(pix []uint8, imgW, imgH, cy, cw int, hist [
 		up := pix[yu*imgW : yu*imgW+imgW]
 		down := pix[yd*imgW : yd*imgW+imgW]
 		row := pix[y*imgW : y*imgW+imgW]
-		for cx := 0; cx < cw; cx++ {
+		for cx := 0; cx+1 < cw; cx += 2 {
 			base := (cy*cw + cx) * lutBins
-			cell := hist[base : base+lutBins]
+			left := hist[base : base+lutBins]
+			right := hist[base+lutBins : base+2*lutBins]
 			for x := cx * cs; x < (cx+1)*cs; x++ {
-				xl, xr := x-1, x+1
+				xl := x - 1
 				if xl < 0 {
 					xl = 0
 				}
+				// The right cell's pixel x+cs has x+cs-1 >= 0 on its
+				// left; only its right neighbour can leave the image.
+				xs := x + cs
+				xr := xs + 1
 				if xr >= imgW {
 					xr = imgW - 1
 				}
-				e := &histLUT[histLUTIndex(int(row[xr])-int(row[xl]), int(down[x])-int(up[x]))]
-				cell[e.b0] += e.w0
-				cell[e.b1] += e.w1
+				e := &histLUT[histLUTIndex(int(row[x+1])-int(row[xl]), int(down[x])-int(up[x]))]
+				f := &histLUT[histLUTIndex(int(row[xr])-int(row[xs-1]), int(down[xs])-int(up[xs]))]
+				left[e.b0] += e.w0
+				right[f.b0] += f.w0
+				left[e.b1] += e.w1
+				right[f.b1] += f.w1
 			}
 		}
+	}
+	if cw%2 == 1 {
+		c.cellHistogramLUT(pix, imgW, imgH, cw-1, cy, hist[(cy*cw+cw-1)*lutBins:][:lutBins])
 	}
 }
 

@@ -180,6 +180,11 @@ func l2hys(v []float64, clip float64) {
 // order so the float64 additions associate exactly as l2hys's own
 // loop would — that is what keeps fused producers (blockgrid's
 // copy+accumulate) bitwise identical to copy-then-l2hys.
+//
+// The clip is min(x, clip), which compiles without a branch: whether
+// a normalized value exceeds the clip is data-dependent and
+// mispredicts often. For any clip other than NaN or -0 it is exactly
+// "if x > clip { x = clip }".
 func l2hysSS(v []float64, clip float64, ss float64) {
 	const eps = 1e-10
 	inv := 1 / math.Sqrt(ss+eps)
@@ -189,15 +194,39 @@ func l2hysSS(v []float64, clip float64, ss float64) {
 	// separate pass, so the fusion is bitwise neutral.
 	ss = 0
 	for i := range v {
-		v[i] *= inv
-		if v[i] > clip {
-			v[i] = clip
-		}
+		v[i] = min(v[i]*inv, clip)
 		ss += v[i] * v[i]
 	}
 	inv = 1 / math.Sqrt(ss+eps)
 	for i := range v {
 		v[i] *= inv
+	}
+}
+
+// l2hysPair is l2hysSS over two equal-length vectors at once, each
+// with its own precomputed first-pass sum of squares: the two
+// vectors' scale, clip and second-pass sum-of-squares chains run
+// interleaved in one loop, each in l2hysSS's ascending order with
+// l2hysSS's operations, so both results are bitwise identical to two
+// l2hysSS calls.
+func l2hysPair(a, b []float64, clip, ssa, ssb float64) {
+	const eps = 1e-10
+	b = b[:len(a)]
+	inva := 1 / math.Sqrt(ssa+eps)
+	invb := 1 / math.Sqrt(ssb+eps)
+	ssa, ssb = 0, 0
+	for i := range a {
+		x := min(a[i]*inva, clip)
+		y := min(b[i]*invb, clip)
+		a[i], b[i] = x, y
+		ssa += x * x
+		ssb += y * y
+	}
+	inva = 1 / math.Sqrt(ssa+eps)
+	invb = 1 / math.Sqrt(ssb+eps)
+	for i := range a {
+		a[i] *= inva
+		b[i] *= invb
 	}
 }
 

@@ -64,19 +64,35 @@ func RGBToGray(m *RGB) *Gray {
 // the converted image — dst itself when reuse was possible — so a frame
 // loop converts every frame into one buffer instead of allocating.
 func RGBToGrayInto(dst *Gray, m *RGB) *Gray {
-	if dst == nil || cap(dst.Pix) < m.W*m.H {
-		dst = NewGray(m.W, m.H)
-	}
-	dst.W, dst.H = m.W, m.H
-	dst.Pix = dst.Pix[:m.W*m.H]
-	n := m.W * m.H
-	for i := 0; i < n; i++ {
-		r := int32(m.Pix[3*i])
-		g := int32(m.Pix[3*i+1])
-		b := int32(m.Pix[3*i+2])
-		dst.Pix[i] = clamp8((19595*r + 38470*g + 7471*b + 1<<15) >> 16)
-	}
+	dst = GrayInto(dst, m.W, m.H)
+	RGBToGrayRows(dst, m, 0, m.H)
 	return dst
+}
+
+// GrayInto returns a w x h gray image backed by dst's pixel buffer
+// when it has sufficient capacity (dst may be nil), or a new one.
+// The pixels are unspecified; callers overwrite them.
+func GrayInto(dst *Gray, w, h int) *Gray {
+	if dst == nil || cap(dst.Pix) < w*h {
+		return NewGray(w, h)
+	}
+	dst.W, dst.H = w, h
+	dst.Pix = dst.Pix[:w*h]
+	return dst
+}
+
+// RGBToGrayRows converts rows [y0, y1) of m into the same rows of dst,
+// which must already have m's size (GrayInto). Every pixel depends on
+// its own RGB triple only, so disjoint row ranges may be converted
+// concurrently and any split gives RGBToGrayInto's image exactly.
+func RGBToGrayRows(dst *Gray, m *RGB, y0, y1 int) {
+	out := dst.Pix[y0*m.W : y1*m.W]
+	pix := m.Pix[3*y0*m.W : 3*y1*m.W]
+	for i := range out {
+		p := pix[3*i:][:3]
+		r, g, b := int32(p[0]), int32(p[1]), int32(p[2])
+		out[i] = clamp8((19595*r + 38470*g + 7471*b + 1<<15) >> 16)
+	}
 }
 
 // GrayToRGB expands a grayscale image to three identical channels.

@@ -76,6 +76,28 @@ func TestRGBToGrayMatchesLumaPlane(t *testing.T) {
 	}
 }
 
+// TestRGBToGrayRowsAnySplit: converting in row bands, in any order,
+// gives RGBToGrayInto's image exactly, into a reused buffer too.
+func TestRGBToGrayRowsAnySplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	m := randRGB(rng, 13, 11)
+	want := RGBToGray(m)
+	dst := NewGray(20, 20) // larger: GrayInto must reuse and resize it
+	for _, bands := range []int{1, 2, 3, 11} {
+		g := GrayInto(dst, m.W, m.H)
+		if g != dst || g.W != m.W || g.H != m.H {
+			t.Fatalf("GrayInto did not reuse a large enough buffer as %dx%d", m.W, m.H)
+		}
+		clear(g.Pix)
+		for b := bands - 1; b >= 0; b-- {
+			RGBToGrayRows(g, m, m.H*b/bands, m.H*(b+1)/bands)
+		}
+		if !bytes.Equal(g.Pix, want.Pix) {
+			t.Fatalf("%d bands: gray differs from RGBToGray", bands)
+		}
+	}
+}
+
 func TestResizeIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randGray(rng, 20, 10)

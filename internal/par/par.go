@@ -33,11 +33,11 @@ func Workers(n int) int {
 }
 
 // ForEach invokes fn(i) for every i in [0, n), fanning the indices
-// across at most workers goroutines (workers <= 0 means NumCPU). It
-// returns when every index has been processed or the context is
-// cancelled; on cancellation the remaining indices are skipped and
-// the context's error is returned, so callers must discard partial
-// results on a non-nil error.
+// across at most workers goroutines, the caller's included (workers
+// <= 0 means NumCPU). It returns when every index has been processed
+// or the context is cancelled; on cancellation the remaining indices
+// are skipped and the context's error is returned, so callers must
+// discard partial results on a non-nil error.
 //
 // fn must be safe for concurrent invocation with distinct indices and
 // must not retain or mutate state shared across indices except through
@@ -61,23 +61,50 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int)) error {
 		}
 		return nil
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
+	// The caller is one of the workers: it runs work itself after
+	// starting the others, rather than idling in Wait. Every worker
+	// runs the same closure, so a call allocates the closure and its
+	// shared state once whatever the worker count — the hot scan loops
+	// fan out dozens of times per frame.
+	f := new(fanout)
+	work := func() {
+		defer f.wg.Done()
+		for ctx.Err() == nil {
+			i := f.claim()
+			if i >= n {
+				return
 			}
-		}()
+			fn(i)
+		}
 	}
-	wg.Wait()
+	f.start(ctx, workers, work)
 	return ctx.Err()
+}
+
+// fanout is the state one parallel ForEach/ForEachLocal call shares
+// between its workers, kept in one object so it is allocated once.
+type fanout struct {
+	next atomic.Int64 // next unclaimed index
+	wg   sync.WaitGroup
+}
+
+// claim returns the next index to process; past n once all are taken.
+func (f *fanout) claim() int { return int(f.next.Add(1)) - 1 }
+
+// start runs work on workers goroutines, the caller's included, and
+// returns once every one has finished. work must call f.wg.Done. No
+// further workers start once ctx is cancelled.
+func (f *fanout) start(ctx context.Context, workers int, work func()) {
+	for w := 1; w < workers; w++ {
+		if ctx.Err() != nil {
+			break
+		}
+		f.wg.Add(1)
+		go work()
+	}
+	f.wg.Add(1)
+	work()
+	f.wg.Wait()
 }
 
 // ForEachLocal is ForEach with per-worker local state: every worker
@@ -111,22 +138,19 @@ func ForEachLocal[L any](ctx context.Context, workers, n int, newLocal func() L,
 		}
 		return nil
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			local := newLocal()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, local)
+	// As in ForEach, the caller is one of the workers.
+	f := new(fanout)
+	work := func() {
+		defer f.wg.Done()
+		local := newLocal()
+		for ctx.Err() == nil {
+			i := f.claim()
+			if i >= n {
+				return
 			}
-		}()
+			fn(i, local)
+		}
 	}
-	wg.Wait()
+	f.start(ctx, workers, work)
 	return ctx.Err()
 }

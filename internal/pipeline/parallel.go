@@ -34,7 +34,8 @@ import (
 //     abandoned as soon as the remaining blocks provably cannot lift
 //     the margin above the threshold. Surviving windows re-sum their
 //     stashed partials in canonical order, so reported margins are
-//     bitwise identical to the full evaluation.
+//     bitwise identical to the full evaluation. A row's windows are
+//     scored together, position-major (svm.BlockModel.EarlyMarginRow).
 //   - full margin (NoEarlyReject): the PR5 plane path — per-anchor
 //     partial responses precomputed by svm.BlockModel.Responses,
 //     windows summed from the plane.
@@ -79,11 +80,15 @@ type windowSweep struct {
 type rowTask struct{ level, y int }
 
 // rowScratch is the per-worker scratch of the window-row loop: the
-// descriptor buffer the fallback path assembles into and the partial-
-// margin stash of the early-reject path.
+// descriptor buffer the fallback path assembles into, and the early-
+// reject row scorer's candidate anchors, working set and the cached
+// detections a partially dirty row keeps. It lives in the pooled
+// scanScratch, so its buffers survive from sweep to sweep.
 type rowScratch struct {
-	desc    []float64
-	partial []float64
+	desc  []float64
+	cands []int
+	kept  []Detection
+	row   svm.RowScratch
 }
 
 // ScanTimings breaks one multi-scale scan into its wall-clock stages,
@@ -304,8 +309,8 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 	// the dirty masks prove unchanged — so stage 3 serves the cached
 	// slice instead of rescoring the row.
 	serveRows := prevPart && len(part.rowDets) == nt
-	err = par.ForEachLocal(ctx, workers, nt,
-		func() *rowScratch { return new(rowScratch) },
+	sc.beginWorkers(workers)
+	err = par.ForEachLocal(ctx, workers, nt, sc.newRow,
 		func(ti int, rs *rowScratch) {
 			rt := tasks[ti]
 			if serveRows && tc.rowServable(s.Cfg, rt.level, rt.y, s.WinH, sc.nax[rt.level] > 0, bh) {
@@ -362,7 +367,10 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 					spanCY = p
 				}
 				cy0 := rt.y / cell
-				serve := func(ax int) bool {
+				// serve reports whether the window at ax keeps last
+				// frame's verdict, appending its cached detection, if
+				// it had one, to *out.
+				serve := func(ax int, out *[]Detection) bool {
 					if !rowPartial {
 						return false
 					}
@@ -378,7 +386,7 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 						cj++
 					}
 					if cj < len(cached) && cached[cj].Box.X0 == x0 {
-						dets = append(dets, cached[cj]) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
+						*out = append(*out, cached[cj]) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
 						cj++
 					}
 					return true
@@ -389,7 +397,7 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 					// accepted windows resolved by the float oracle.
 					qresp := qresp[rt.level]
 					for ax := 0; ax < nax; ax++ {
-						if serve(ax) {
+						if serve(ax, &dets) {
 							continue
 						}
 						if !pass(ax * s.Stride) {
@@ -404,7 +412,7 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 					// Quantized on-demand with integer early exit.
 					qblocks := st.qgrids[rt.level]
 					for ax := 0; ax < nax; ax++ {
-						if serve(ax) {
+						if serve(ax, &dets) {
 							continue
 						}
 						if !pass(ax * s.Stride) {
@@ -421,7 +429,7 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 					// partials.
 					resp := resp[rt.level]
 					for ax := 0; ax < nax; ax++ {
-						if serve(ax) {
+						if serve(ax, &dets) {
 							continue
 						}
 						if !pass(ax * s.Stride) {
@@ -432,23 +440,32 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 						}
 					}
 				default:
-					// Early reject: accumulate partials in descending
-					// weight-mass order, bail when the bound closes.
-					if cap(rs.partial) < bw*bh {
-						rs.partial = make([]float64, bw*bh) // lint:alloc once per worker per scan
-					}
+					// Early reject, position-major over the row: the
+					// windows neither served nor prefilter-rejected
+					// take each block position together and drop out
+					// as their bounds close (svm.EarlyMarginRow).
+					// Cached and scored detections then merge in
+					// ascending x, the order the per-window loop
+					// produced.
+					rs.cands, rs.kept = rs.cands[:0], rs.kept[:0]
 					for ax := 0; ax < nax; ax++ {
-						if serve(ax) {
+						if serve(ax, &rs.kept) || !pass(ax*s.Stride) {
 							continue
 						}
-						if !pass(ax * s.Stride) {
-							continue
-						}
-						m, rejected := sc.bm.EarlyMarginAt(blocks, lat, ax, ay, s.Thresh, rs.partial[:bw*bh])
-						if !rejected && m > s.Thresh {
-							emit(ax, m)
+						rs.cands = append(rs.cands, ax) // lint:alloc grows to the widest row once per pooled scratch
+					}
+					kept := rs.kept
+					for _, sv := range sc.bm.EarlyMarginRow(blocks, lat, ay, rs.cands, s.Thresh, &rs.row) {
+						if sv.Margin > s.Thresh {
+							x0 := box(sv.AX * s.Stride).X0
+							for len(kept) > 0 && kept[0].Box.X0 < x0 {
+								dets = append(dets, kept[0]) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
+								kept = kept[1:]
+							}
+							emit(sv.AX, sv.Margin)
 						}
 					}
+					dets = append(dets, kept...) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
 				}
 			} else {
 				for x := 0; x+s.WinW <= level.W; x += s.Stride {

@@ -2,19 +2,20 @@ package pipeline
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"advdet/internal/svm"
 )
 
 // scanScratch owns every reusable buffer of one windowSweep.run
 // invocation that is not part of the frame stack: the block models,
-// response planes (float and quantized), anchor lattices and the
-// task/result arenas. A scratch is borrowed from a process-wide pool
-// for the duration of one sweep and returned afterwards, so the
-// steady-state frame loop recomputes everything per frame but
-// allocates (almost) nothing — the software equivalent of the PL's
-// statically provisioned window-evaluator memories, which are
-// rewritten every frame and never reallocated.
+// response planes (float and quantized), anchor lattices, the
+// task/result arenas and the window-row workers' scratch. A scratch
+// is borrowed from a process-wide pool for the duration of one sweep
+// and returned afterwards, so the steady-state frame loop recomputes
+// everything per frame but allocates (almost) nothing — the software
+// equivalent of the PL's statically provisioned window-evaluator
+// memories, which are rewritten every frame and never reallocated.
 //
 // Nothing borrowed from the pool escapes a sweep: detections handed
 // to the caller are always freshly assembled.
@@ -27,9 +28,18 @@ type scanScratch struct {
 	nax     []int         // per-level anchor-lattice width; 0 = descriptor path
 	tasks   []rowTask
 	results [][]Detection
+	rows    []*rowScratch // one per window-row worker
+	nextRow atomic.Int32  // rows handed out this sweep
+	// newRow is worker as a func value, bound once per pooled scratch
+	// rather than once per sweep.
+	newRow func() *rowScratch
 }
 
-var scanPool = sync.Pool{New: func() any { return new(scanScratch) }}
+var scanPool = sync.Pool{New: func() any {
+	s := new(scanScratch)
+	s.newRow = s.worker
+	return s
+}}
 
 func borrowScanScratch() *scanScratch { return scanPool.Get().(*scanScratch) }
 
@@ -77,6 +87,21 @@ func (s *scanScratch) setLevels(n int) {
 		s.lats[i] = svm.Lattice{}
 		s.nax[i] = 0
 	}
+}
+
+// beginWorkers readies one row scratch per window-row worker of the
+// coming sweep; worker hands them out.
+func (s *scanScratch) beginWorkers(n int) {
+	for len(s.rows) < n {
+		s.rows = append(s.rows, new(rowScratch)) // lint:alloc grows to the worker count once per pooled scratch
+	}
+	s.nextRow.Store(0)
+}
+
+// worker hands the next window-row worker its scratch: the
+// par.ForEachLocal local constructor, called once per worker.
+func (s *scanScratch) worker() *rowScratch {
+	return s.rows[s.nextRow.Add(1)-1]
 }
 
 // setTasks sizes the task and result arenas for n row tasks and

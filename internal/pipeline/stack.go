@@ -106,13 +106,31 @@ func (st *FrameStack) Begin(src *img.Gray) {
 	st.tm = ScanTimings{}
 }
 
+// grayBandPixels is the least a gray-conversion band is given. Below
+// it the fan-out's goroutines and allocations cost more than the band
+// saves, so frames under two bands (640x360 included) convert on the
+// calling goroutine, allocation-free.
+const grayBandPixels = 1 << 18
+
 // BeginRGB opens a new frame over an RGB frame: it is converted to
 // gray once, into a buffer the stack owns and reuses across frames,
 // and that gray image is returned (valid until the next BeginRGB).
-func (st *FrameStack) BeginRGB(frame *img.RGB) *img.Gray {
-	st.gray = img.RGBToGrayInto(st.gray, frame)
-	st.Begin(st.gray)
-	return st.gray
+// Large frames convert in row bands across up to workers goroutines
+// (workers <= 0 means NumCPU); every pixel is a function of its own
+// RGB triple, so the image is the same for any band split.
+func (st *FrameStack) BeginRGB(frame *img.RGB, workers int) *img.Gray {
+	g := img.GrayInto(st.gray, frame.W, frame.H)
+	st.gray = g
+	bands := min(par.Workers(workers), frame.W*frame.H/grayBandPixels, frame.H)
+	if bands <= 1 {
+		img.RGBToGrayRows(g, frame, 0, frame.H)
+	} else {
+		_ = par.ForEach(context.Background(), bands, bands, func(b int) { // lint:ctxroot a few ms of pixel work per frame; not worth a cancellation point
+			img.RGBToGrayRows(g, frame, frame.H*b/bands, frame.H*(b+1)/bands)
+		})
+	}
+	st.Begin(g)
+	return g
 }
 
 // Source returns the open frame's gray image (nil before Begin).

@@ -184,3 +184,21 @@ func TestFrameStackBuildsOncePerFrame(t *testing.T) {
 		t.Fatal("sweep over a stack with no open frame succeeded")
 	}
 }
+
+// TestBeginRGBBandsMatchSerial: the stack's gray conversion, in row
+// bands on large frames and serial on small ones, gives img.RGBToGray's
+// image exactly at every worker count, reusing its buffer across
+// frames of different sizes.
+func TestBeginRGBBandsMatchSerial(t *testing.T) {
+	st := NewFrameStack()
+	for _, sz := range [][2]int{{640, 360}, {160, 90}, {1920, 1080}, {333, 217}} {
+		sc := synth.RenderScene(synth.NewRNG(780), synth.DefaultSceneConfig(sz[0], sz[1], synth.Dusk))
+		want := img.RGBToGray(sc.Frame)
+		for _, workers := range []int{1, 2, 3, 0} {
+			g := st.BeginRGB(sc.Frame, workers)
+			if g != st.Source() || g.W != want.W || g.H != want.H || string(g.Pix) != string(want.Pix) {
+				t.Fatalf("%dx%d workers=%d: BeginRGB gray differs from RGBToGray", sz[0], sz[1], workers)
+			}
+		}
+	}
+}

@@ -380,6 +380,9 @@ func (bm *BlockModel) WindowMargin(blocks []float64, lat Lattice, ax, ay int) fl
 // block position). The second return is true when the window was
 // rejected early; the margin is then meaningless.
 //
+// The window sweep scores whole rows with EarlyMarginRow; this
+// one-window form is the reference that scorer is tested against.
+//
 // lint:hotpath
 func (bm *BlockModel) EarlyMarginAt(blocks []float64, lat Lattice, ax, ay int, thresh float64, partial []float64) (float64, bool) {
 	rel := thresh - bm.Bias // bail when partial responses cannot exceed this
@@ -406,4 +409,133 @@ func (bm *BlockModel) EarlyMarginAt(blocks []float64, lat Lattice, ax, ay int, t
 		m += d
 	}
 	return m, false
+}
+
+// RowScratch is the reusable working set of EarlyMarginRow: the live
+// list, the running partial-margin accumulators and the survivor list.
+// One scratch serves one row at a time; buffers grow to the widest row
+// scored and are then reused, so a steady-state sweep allocates
+// nothing here.
+type RowScratch struct {
+	live []int         // indices into cands of the windows still alive
+	acc  []float64     // acc[i]: candidate i's partial response so far
+	out  []RowSurvivor // windows no bound rejected, in candidate order
+}
+
+// RowSurvivor is a window EarlyMarginRow did not reject: its anchor x
+// and its full margin, bitwise EarlyMarginAt's. The margin may still
+// be <= the threshold (the reject test carries a guard); callers apply
+// the threshold as they would to EarlyMarginAt's result.
+type RowSurvivor struct {
+	AX     int
+	Margin float64
+}
+
+// EarlyMarginRow is EarlyMarginAt over a whole lattice row, position
+// major: the windows at anchors cands (ascending, any gaps) of lattice
+// row ay all take block position order[0], then order[1], and so on,
+// the way the PL's replicated window evaluators step in lockstep
+// across a row of the Normalized-HOG memory. At each position the live
+// windows' dot products run four at a time in one loop sharing the
+// weight loads (dot4), and a window drops out as soon as its
+// accumulated response plus the tail bound cannot exceed thresh.
+//
+// Per window, everything is EarlyMarginAt's, bit for bit: each dot is
+// the same ascending-index add chain over the same block and weights,
+// the partials accumulate in the same descending-bound order, and the
+// reject test is the same comparison at the same depth. Interleaving
+// only changes which independent chains share a loop, never the
+// operations of any one chain. A survivor's margin is WindowMargin:
+// the same dots summed in canonical position order, which is what
+// EarlyMarginAt's re-sum of its stashed partials computes. Survivors
+// are post-threshold windows, a sliver of the row, so recomputing
+// their dots costs less than stashing every window's partials.
+//
+// The survivors are returned in candidate order; the slice aliases rs
+// and is valid until its next use. The caller must have validated lat
+// with CheckLattice, and every anchor in cands must lie in [0, NAX).
+//
+// lint:hotpath
+func (bm *BlockModel) EarlyMarginRow(blocks []float64, lat Lattice, ay int, cands []int, thresh float64, rs *RowScratch) []RowSurvivor {
+	rel := thresh - bm.Bias
+	n := len(cands)
+	rs.live = growInts(rs.live, n)
+	live := rs.live
+	for i := range live {
+		live[i] = i
+	}
+	if cap(rs.acc) < n {
+		rs.acc = make([]float64, n) // lint:alloc grows to the widest row once per scratch
+	}
+	acc := rs.acc[:n]
+	clear(acc)
+	bl := bm.BlockLen
+	step := lat.StepX * bl
+	for k, p := range bm.order {
+		if len(live) == 0 {
+			break
+		}
+		w := bm.w[p*bl:][:bl]
+		cy := ay*lat.StepY + bm.ordPBY[k]*lat.BlockStride
+		// Candidate anchor ax's block at this position starts at
+		// base + ax*step floats.
+		base := (cy*lat.NBX + bm.ordPBX[k]*lat.BlockStride) * bl
+		j := 0
+		for ; j+4 <= len(live); j += 4 {
+			i0, i1, i2, i3 := live[j], live[j+1], live[j+2], live[j+3]
+			d0, d1, d2, d3 := dot4(w,
+				blocks[base+cands[i0]*step:], blocks[base+cands[i1]*step:],
+				blocks[base+cands[i2]*step:], blocks[base+cands[i3]*step:])
+			acc[i0] += d0
+			acc[i1] += d1
+			acc[i2] += d2
+			acc[i3] += d3
+		}
+		for ; j < len(live); j++ {
+			i0 := live[j]
+			b0 := blocks[base+cands[i0]*step:][:len(w)]
+			var d0 float64
+			for i, wi := range w {
+				d0 += wi * b0[i]
+			}
+			acc[i0] += d0
+		}
+		// Drop every window the bound now rejects — EarlyMarginAt's
+		// test, negated as written so a NaN survives in both — with a
+		// stable compaction, so the live list stays in candidate order.
+		kept := 0
+		for _, i := range live {
+			if !(acc[i]+bm.tail[k+1] <= rel) {
+				live[kept] = i
+				kept++
+			}
+		}
+		live = live[:kept]
+	}
+	out := rs.out[:0]
+	for _, i := range live {
+		out = append(out, RowSurvivor{AX: cands[i], Margin: bm.WindowMargin(blocks, lat, cands[i], ay)}) // lint:alloc grows to the widest row once per scratch
+	}
+	rs.out = out
+	return out
+}
+
+// dot4 is four independent dot products of w against the leading
+// len(w) floats of b0..b3, each the ascending-index add chain of a
+// single dot, interleaved so the four chains overlap their add
+// latencies: one window's chain alone leaves the core waiting on each
+// add. It is kept out of line: inlined into the row scorer, the
+// loop's registers spill and the counter's store/reload becomes the
+// new critical path.
+//
+//go:noinline
+func dot4(w, b0, b1, b2, b3 []float64) (d0, d1, d2, d3 float64) {
+	b0, b1, b2, b3 = b0[:len(w)], b1[:len(w)], b2[:len(w)], b3[:len(w)]
+	for i, wi := range w {
+		d0 += wi * b0[i]
+		d1 += wi * b1[i]
+		d2 += wi * b2[i]
+		d3 += wi * b3[i]
+	}
+	return d0, d1, d2, d3
 }

@@ -11,13 +11,14 @@ import (
 // randLattice draws a random but consistent lattice geometry plus a
 // synthetic normalized block plane: non-negative blocks of L2 norm
 // <= 1, the constraint set l2hys produces and the early-exit bound
-// leans on.
-func randLattice(rng *splitmix64, bw, bh, blockLen int) (Lattice, []float64) {
+// leans on. The lattice is at least minNAX anchors wide.
+func randLattice(rng *splitmix64, bw, bh, blockLen, minNAX int) (Lattice, []float64) {
 	lat := Lattice{
 		StepX: 1 + int(rng.next()%3), StepY: 1 + int(rng.next()%3),
 		NAX: 1 + int(rng.next()%6), NAY: 1 + int(rng.next()%6),
 		BlockStride: 1 + int(rng.next()%2),
 	}
+	lat.NAX = max(lat.NAX, minNAX)
 	lat.NBX = (lat.NAX-1)*lat.StepX + (bw-1)*lat.BlockStride + 1 + int(rng.next()%3)
 	lat.NBY = (lat.NAY-1)*lat.StepY + (bh-1)*lat.BlockStride + 1 + int(rng.next()%3)
 	blocks := make([]float64, lat.NBX*lat.NBY*blockLen)
@@ -53,7 +54,7 @@ func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat, blocks := randLattice(&rng, bw, bh, blockLen)
+		lat, blocks := randLattice(&rng, bw, bh, blockLen, 1)
 
 		resp := make([]float64, lat.NAX*lat.NAY*bw*bh)
 		if err := bm.Responses(ctx, 1, blocks, lat, resp); err != nil {
@@ -108,7 +109,7 @@ func TestQuantDecisionsMatchFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat, blocks := randLattice(&rng, bw, bh, blockLen)
+		lat, blocks := randLattice(&rng, bw, bh, blockLen, 1)
 		thresh := bm.WindowMargin(blocks, lat,
 			int(rng.next()%uint64(lat.NAX)), int(rng.next()%uint64(lat.NAY))) +
 			0.1*rng.float()

@@ -186,7 +186,7 @@ func TestProcessFrameAllocsWithLedger(t *testing.T) {
 	st := pipeline.NewFrameStack()
 	vehicle, pedestrian := sweep(st, d.Day), sweep(st, d.Pedestrian)
 	both := allocs(func() {
-		st.BeginRGB(sc.Frame)
+		st.BeginRGB(sc.Frame, workers)
 		vehicle()
 		pedestrian()
 	})
