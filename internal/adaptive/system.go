@@ -694,7 +694,8 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 // detectVehicles dispatches to the condition's detector on the shared
 // worker pool: a day or dusk model is a sweep over the frame stack the
 // pedestrian sweep reads too; the dark pipeline is taillight-based and
-// reads the RGB frame.
+// reads the stack's gray plane for luma and the RGB frame for chroma,
+// so every frame converts its pixels once.
 func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth.Condition) ([]pipeline.Detection, error) {
 	switch cond {
 	case synth.Day:
@@ -707,7 +708,7 @@ func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth
 		}
 	case synth.Dark:
 		if s.Dets.Dark != nil {
-			return s.Dets.Dark.DetectCtx(ctx, sc.Frame, s.workers())
+			return s.Dets.Dark.DetectGrayCtx(ctx, sc.Frame, s.frameGray(sc), s.workers())
 		}
 	}
 	return nil, nil

@@ -138,15 +138,47 @@ func Train(X [][]float64, labels []int, cfg Config, rng rbm.RNG) (*Network, erro
 	return n, nil
 }
 
-// forward runs the network, returning all layer activations; acts[0]
-// is the input, acts[len(Sizes)-1] the top hidden layer, and the
-// returned probs are the softmax class probabilities.
-func (n *Network) forward(x []float64) (acts [][]float64, probs []float64) {
-	acts = make([][]float64, len(n.Sizes))
+// Scratch is the working memory of one forward pass: every layer's
+// activations, the output logits and the class probabilities. The zero
+// value is ready to use; its buffers grow to the network's layer sizes
+// on first use and are reused by every later pass, so a caller that
+// keeps one Scratch per goroutine classifies without allocating. A
+// Scratch serves one goroutine at a time.
+type Scratch struct {
+	acts   [][]float64 // acts[0] aliases the input; acts[l] has Sizes[l] units
+	logits [NumClasses]float64
+	probs  [NumClasses]float64
+}
+
+// fit sizes the activation buffers for n, keeping them when they
+// already match.
+func (s *Scratch) fit(n *Network) {
+	ok := len(s.acts) == len(n.Sizes)
+	for l := 1; ok && l < len(n.Sizes); l++ {
+		ok = len(s.acts[l]) == n.Sizes[l]
+	}
+	if ok {
+		return
+	}
+	s.acts = make([][]float64, len(n.Sizes)) // lint:alloc sized once per Scratch and topology
+	for l := 1; l < len(n.Sizes); l++ {
+		s.acts[l] = make([]float64, n.Sizes[l]) // lint:alloc sized once per Scratch and topology
+	}
+}
+
+// forward runs the network on x into sc: sc.acts[0] is x itself,
+// sc.acts[len(Sizes)-1] the top hidden layer, and sc.probs the softmax
+// class probabilities. It is the network's only forward pass, shared
+// by classification and fine-tuning.
+//
+// lint:hotpath
+func (n *Network) forward(x []float64, sc *Scratch) {
+	sc.fit(n)
+	acts := sc.acts
 	acts[0] = x
 	for l := 0; l+1 < len(n.Sizes); l++ {
 		in := acts[l]
-		out := make([]float64, n.Sizes[l+1])
+		out := acts[l+1]
 		w := n.W[l]
 		nvl := n.Sizes[l]
 		for h := range out {
@@ -157,10 +189,9 @@ func (n *Network) forward(x []float64) (acts [][]float64, probs []float64) {
 			}
 			out[h] = 1 / (1 + math.Exp(-s))
 		}
-		acts[l+1] = out
 	}
 	top := acts[len(acts)-1]
-	logits := make([]float64, NumClasses)
+	logits := sc.logits[:]
 	tw := len(top)
 	maxL := math.Inf(-1)
 	for c := 0; c < NumClasses; c++ {
@@ -175,7 +206,7 @@ func (n *Network) forward(x []float64) (acts [][]float64, probs []float64) {
 		}
 	}
 	var sum float64
-	probs = make([]float64, NumClasses)
+	probs := sc.probs[:]
 	for c, l := range logits {
 		probs[c] = math.Exp(l - maxL)
 		sum += probs[c]
@@ -183,22 +214,39 @@ func (n *Network) forward(x []float64) (acts [][]float64, probs []float64) {
 	for c := range probs {
 		probs[c] /= sum
 	}
-	return acts, probs
+}
+
+// checkInput rejects a window whose length does not match the input
+// layer.
+func (n *Network) checkInput(x []float64) {
+	if len(x) != n.Sizes[0] {
+		// lint:invariant window length is fixed by the trained topology; mismatch is a wiring bug
+		panic(fmt.Sprintf("dbn: input length %d, want %d", len(x), n.Sizes[0])) // lint:alloc cold panic path; fires only on a wiring bug
+	}
 }
 
 // Probs returns the class probabilities for a window.
 func (n *Network) Probs(x []float64) []float64 {
-	if len(x) != n.Sizes[0] {
-		// lint:invariant window length is fixed by the trained topology; mismatch is a wiring bug
-		panic(fmt.Sprintf("dbn: input length %d, want %d", len(x), n.Sizes[0]))
-	}
-	_, p := n.forward(x)
-	return p
+	n.checkInput(x)
+	var s Scratch
+	n.forward(x, &s)
+	return append([]float64(nil), s.probs[:]...)
 }
 
 // Classify returns the most probable class and its probability.
 func (n *Network) Classify(x []float64) (class int, prob float64) {
-	p := n.Probs(x)
+	var s Scratch
+	return n.ClassifyWith(&s, x)
+}
+
+// ClassifyWith is Classify running in the caller's Scratch, so a loop
+// over many windows allocates nothing after its first call.
+//
+// lint:hotpath
+func (n *Network) ClassifyWith(s *Scratch, x []float64) (class int, prob float64) {
+	n.checkInput(x)
+	n.forward(x, s)
+	p := s.probs[:]
 	best := 0
 	for c := 1; c < len(p); c++ {
 		if p[c] > p[best] {
@@ -209,7 +257,8 @@ func (n *Network) Classify(x []float64) (class int, prob float64) {
 }
 
 // fineTune runs stochastic-gradient backpropagation with cross-entropy
-// loss through the softmax and sigmoid layers.
+// loss through the softmax and sigmoid layers. Every sample reuses one
+// forward Scratch and one delta buffer per layer.
 func (n *Network) fineTune(X [][]float64, labels []int, cfg Config, rng rbm.RNG) {
 	nSamples := len(X)
 	order := make([]int, nSamples)
@@ -217,6 +266,12 @@ func (n *Network) fineTune(X [][]float64, labels []int, cfg Config, rng rbm.RNG)
 		order[i] = i
 	}
 	top := n.Sizes[len(n.Sizes)-1]
+	var fs Scratch
+	// deltas[l] holds dL/d(layer l activations), l >= 1.
+	deltas := make([][]float64, len(n.Sizes))
+	for l := 1; l < len(n.Sizes); l++ {
+		deltas[l] = make([]float64, n.Sizes[l])
+	}
 	for epoch := 0; epoch < cfg.FineTuneIter; epoch++ {
 		// Shuffle with the shared RNG for determinism.
 		for i := nSamples - 1; i > 0; i-- {
@@ -229,16 +284,17 @@ func (n *Network) fineTune(X [][]float64, labels []int, cfg Config, rng rbm.RNG)
 		lr := cfg.FineTuneLR / (1 + 0.05*float64(epoch))
 		for _, idx := range order {
 			x, label := X[idx], labels[idx]
-			acts, probs := n.forward(x)
+			n.forward(x, &fs)
+			acts := fs.acts
 			topAct := acts[len(acts)-1]
 
 			// Softmax output delta: p - onehot(label).
-			dOut := make([]float64, NumClasses)
-			copy(dOut, probs)
+			dOut := fs.probs
 			dOut[label] -= 1
 
 			// Delta for the top hidden layer.
-			dHidden := make([]float64, top)
+			dHidden := deltas[len(n.Sizes)-1]
+			clear(dHidden)
 			for c := 0; c < NumClasses; c++ {
 				row := n.OutW[c*top : (c+1)*top]
 				for i := range dHidden {
@@ -266,7 +322,8 @@ func (n *Network) fineTune(X [][]float64, labels []int, cfg Config, rng rbm.RNG)
 				}
 				var prev []float64
 				if l > 0 {
-					prev = make([]float64, nvl)
+					prev = deltas[l]
+					clear(prev)
 					for h := range delta {
 						row := n.W[l][h*nvl : (h+1)*nvl]
 						for i := range prev {

@@ -169,7 +169,7 @@ type Binary struct {
 func NewBinary(w, h int) *Binary {
 	if w <= 0 || h <= 0 {
 		// lint:invariant documented contract: dimensions must be positive
-		panic(fmt.Sprintf("img: invalid Binary size %dx%d", w, h))
+		panic(fmt.Sprintf("img: invalid Binary size %dx%d", w, h)) // lint:alloc cold panic path; fires only on an invariant violation
 	}
 	return &Binary{W: w, H: h, Pix: make([]uint8, w*h)}
 }

@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"advdet/internal/dbn"
 	"advdet/internal/img"
@@ -98,23 +101,171 @@ func (c DarkConfig) FactorFor(w int) int {
 	return f
 }
 
+// ErrBadFrame reports a dark-pipeline input that is not a frame: nil,
+// zero-size, a pixel buffer whose length is not 3·W·H, or a gray plane
+// whose size differs from the frame's. DetectCtx and DetectGrayCtx
+// return it wrapped; test with errors.Is.
+var ErrBadFrame = errors.New("pipeline: malformed frame")
+
+// checkFrame validates a dark-pipeline input; gray may be nil.
+func checkFrame(frame *img.RGB, gray *img.Gray) error {
+	switch {
+	case frame == nil:
+		return fmt.Errorf("%w: nil frame", ErrBadFrame)
+	case frame.W <= 0 || frame.H <= 0:
+		return fmt.Errorf("%w: frame size %dx%d", ErrBadFrame, frame.W, frame.H)
+	case len(frame.Pix) != 3*frame.W*frame.H:
+		return fmt.Errorf("%w: %d RGB bytes for a %dx%d frame, want %d",
+			ErrBadFrame, len(frame.Pix), frame.W, frame.H, 3*frame.W*frame.H)
+	case gray != nil && (gray.W != frame.W || gray.H != frame.H || len(gray.Pix) != frame.W*frame.H):
+		return fmt.Errorf("%w: %dx%d gray plane of %d bytes for a %dx%d frame",
+			ErrBadFrame, gray.W, gray.H, len(gray.Pix), frame.W, frame.H)
+	}
+	return nil
+}
+
+// darkScratch is the working memory of one dark-pipeline call: the
+// gray plane it converts when the caller has none, the mask, closing
+// and closing-intermediate binaries, the per-window-row hit and stat
+// arenas, and the DBN sweep's per-worker locals. One DarkDetector
+// serves every stream of an Engine, so a call borrows its scratch from
+// a process-wide pool instead of the detector owning one; the steady
+// state allocates none of it. Nothing borrowed escapes a call.
+type darkScratch struct {
+	gray              *img.Gray
+	mask, closed, tmp *img.Binary
+	rowHits           [][]Light   // per window row, in x order
+	rowStats          []ScanStats // per window row
+	hits              []Light     // every row's hits in raster order
+	workers           []*darkWorker
+	nextWorker        atomic.Int32 // workers handed out this sweep
+	// newWorker is worker as a func value, bound once per pooled
+	// scratch rather than once per sweep.
+	newWorker func() *darkWorker
+}
+
+// darkWorker is one DBN-sweep worker's scratch: the float window fed
+// to the network, a window row's per-column foreground prefix sums,
+// and the network's forward-pass buffers.
+type darkWorker struct {
+	window [dbn.Window * dbn.Window]float64
+	colPre []int32
+	net    dbn.Scratch
+}
+
+var darkPool = sync.Pool{New: func() any {
+	s := new(darkScratch)
+	s.newWorker = s.worker
+	return s
+}}
+
+func borrowDark() *darkScratch { return darkPool.Get().(*darkScratch) }
+
+func releaseDark(s *darkScratch) {
+	darkPool.Put(s) // lint:alloc sync.Pool.Put boxes once per call, not per window
+}
+
+// beginWorkers readies one worker scratch per sweep worker; worker
+// hands them out.
+func (s *darkScratch) beginWorkers(n int) {
+	for len(s.workers) < n {
+		s.workers = append(s.workers, new(darkWorker)) // lint:alloc grows to the worker count once per pooled scratch
+	}
+	s.nextWorker.Store(0)
+}
+
+// worker is the par.ForEachLocal local constructor, called once per
+// sweep worker.
+func (s *darkScratch) worker() *darkWorker {
+	return s.workers[s.nextWorker.Add(1)-1]
+}
+
+// setRows sizes the per-row arenas for n window rows, keeping each
+// row's hit buffer for reuse.
+func (s *darkScratch) setRows(n int) {
+	for len(s.rowHits) < n {
+		s.rowHits = append(s.rowHits, nil) // lint:alloc grows to the frame's window-row count once per pooled scratch
+	}
+	if cap(s.rowStats) < n {
+		s.rowStats = make([]ScanStats, n) // lint:alloc grows to the frame's window-row count once per pooled scratch
+	}
+	s.rowStats = s.rowStats[:n]
+}
+
+// maskBands is the number of mask-row bands a frame's front half runs
+// in: up to one per worker (workers <= 0 means NumCPU), each covering
+// at least grayBandPixels source pixels as BeginRGB's bands do, so
+// frames under two bands (640x360 included) run on the calling
+// goroutine without a fan-out.
+func (d *DarkDetector) maskBands(frame *img.RGB, workers int) int {
+	_, mh := img.MaskSize(frame.W, frame.H, d.Cfg.FactorFor(frame.W))
+	return max(1, min(par.Workers(workers), frame.W*frame.H/grayBandPixels, mh))
+}
+
+// preprocess runs the front half of the pipeline into s in bands of
+// mask rows, each band reading its own source rows once: the gray
+// conversion when gray is nil (into s.gray), the taillight mask
+// (threshold, chroma gate and decimation in one kernel), then closing
+// over the whole map. It returns the binary map the DBN sweeps, owned
+// by s. The map is the same for any band count.
+//
+// lint:hotpath
+func (d *DarkDetector) preprocess(ctx context.Context, s *darkScratch, frame *img.RGB, gray *img.Gray, bands int) (*img.Binary, error) {
+	p := img.MaskParams{
+		LumaThresh: d.Cfg.LumaThresh,
+		CrLow:      d.Cfg.CrLow,
+		CrHigh:     d.Cfg.CrHigh,
+		UseChroma:  d.Cfg.UseChroma,
+		Factor:     d.Cfg.FactorFor(frame.W),
+	}
+	mw, mh := img.MaskSize(frame.W, frame.H, p.Factor)
+	s.mask = img.BinaryInto(s.mask, mw, mh)
+	convert := gray == nil
+	if convert {
+		s.gray = img.GrayInto(s.gray, frame.W, frame.H)
+		gray = s.gray
+	}
+	mask := s.mask
+	if bands <= 1 {
+		maskBand(mask, gray, frame, p, convert, 0, mh)
+	} else if err := par.ForEach(ctx, bands, bands, func(b int) {
+		maskBand(mask, gray, frame, p, convert, mh*b/bands, mh*(b+1)/bands)
+	}); err != nil {
+		return nil, err
+	}
+	if !d.Cfg.UseClosing {
+		return mask, nil
+	}
+	s.closed = img.BinaryInto(s.closed, mw, mh)
+	s.tmp = img.BinaryInto(s.tmp, mw, mh)
+	img.CloseInto(s.closed, s.tmp, mask, d.Cfg.CloseRadius)
+	return s.closed, nil
+}
+
+// maskBand writes mask rows [oy0, oy1), first converting their source
+// rows to gray when convert is set.
+func maskBand(mask *img.Binary, gray *img.Gray, frame *img.RGB, p img.MaskParams, convert bool, oy0, oy1 int) {
+	if convert {
+		img.RGBToGrayRows(gray, frame, min(oy0*p.Factor, frame.H), min(oy1*p.Factor, frame.H))
+	}
+	img.TaillightMaskRows(mask, gray, frame, p, oy0, oy1)
+}
+
 // Preprocess runs the front half of the pipeline — split channels,
 // dual threshold, downsample, closing — returning the binary map the
 // DBN scans. Exposed so the SoC model and ablation benches can tap the
-// intermediate result.
+// intermediate result. It runs the same banded kernel as DetectCtx on
+// up to NumCPU workers. frame must be well formed (see ErrBadFrame).
 func (d *DarkDetector) Preprocess(frame *img.RGB) *img.Binary {
-	c := img.RGBToYCbCr(frame)
-	var b *img.Binary
-	if d.Cfg.UseChroma {
-		b = img.DualThreshold(c, d.Cfg.LumaThresh, d.Cfg.CrLow, d.Cfg.CrHigh)
-	} else {
-		b = img.Threshold(c.Luma(), d.Cfg.LumaThresh)
+	if err := checkFrame(frame, nil); err != nil {
+		// lint:invariant the intermediate-map tap keeps its error-free signature; DetectCtx reports the same check as ErrBadFrame
+		panic(err)
 	}
-	b = img.DownsampleBinary(b, d.Cfg.FactorFor(frame.W))
-	if d.Cfg.UseClosing {
-		b = img.Close(b, d.Cfg.CloseRadius)
-	}
-	return b
+	s := borrowDark()
+	defer releaseDark(s)
+	// The only error is the context's, and a background one never ends.
+	b, _ := d.preprocess(context.Background(), s, frame, nil, d.maskBands(frame, 0)) // lint:ctxroot error-free tap; background ctx cannot fail
+	return b.Clone()
 }
 
 // ScanStats reports how much work the ROI gate saved on the last
@@ -156,60 +307,91 @@ func (d *DarkDetector) ScanLightsStats(b *img.Binary) ([]Light, ScanStats) {
 // light list is identical for every worker count. On cancellation it
 // returns the context's error.
 func (d *DarkDetector) ScanLightsStatsCtx(ctx context.Context, b *img.Binary, workers int) ([]Light, ScanStats, error) {
-	side := dbn.Window
-	var ys []int
-	for y := 0; y+side <= b.H; y += d.Cfg.Stride {
-		ys = append(ys, y)
-	}
-	rowHits := make([][]Light, len(ys))
-	rowStats := make([]ScanStats, len(ys))
-	err := par.ForEach(ctx, workers, len(ys), func(i int) {
-		y := ys[i]
-		window := make([]float64, side*side)
-		var st ScanStats
-		var hits []Light
-		for x := 0; x+side <= b.W; x += d.Cfg.Stride {
-			st.Windows++
-			// ROI gate: skip windows with no foreground at all (the
-			// RTL gates the DBN the same way to hold 50 fps).
-			count := 0
-			for wy := 0; wy < side; wy++ {
-				row := (y + wy) * b.W
-				for wx := 0; wx < side; wx++ {
-					v := b.Pix[row+x+wx]
-					window[wy*side+wx] = float64(v)
-					count += int(v)
-				}
-			}
-			if count == 0 {
-				continue
-			}
-			st.Evaluated++
-			class, prob := d.Net.Classify(window)
-			if class == dbn.ClassNone || prob < d.Cfg.MinProb {
-				continue
-			}
-			st.Hits++
-			hits = append(hits, Light{
-				Box:   img.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side},
-				Class: class,
-				Prob:  prob,
-			})
-		}
-		rowHits[i], rowStats[i] = hits, st
-	})
+	s := borrowDark()
+	defer releaseDark(s)
+	stats, err := d.sweep(ctx, s, b, workers)
 	if err != nil {
 		return nil, ScanStats{}, err
 	}
-	var hits []Light
-	var stats ScanStats
-	for i := range rowHits {
-		hits = append(hits, rowHits[i]...)
-		stats.Windows += rowStats[i].Windows
-		stats.Evaluated += rowStats[i].Evaluated
-		stats.Hits += rowStats[i].Hits
+	return mergeLights(s.hits), stats, nil
+}
+
+// sweep slides the 9x9 DBN over b with the configured stride, one
+// window row per task, leaving every row's hits in s.hits in raster
+// order and returning the summed stats.
+//
+// lint:hotpath
+func (d *DarkDetector) sweep(ctx context.Context, s *darkScratch, b *img.Binary, workers int) (ScanStats, error) {
+	rows := 0
+	if b.H >= dbn.Window {
+		rows = (b.H-dbn.Window)/d.Cfg.Stride + 1
 	}
-	return mergeLights(hits), stats, nil
+	s.setRows(rows)
+	s.beginWorkers(min(par.Workers(workers), rows))
+	if err := par.ForEachLocal(ctx, workers, rows, s.newWorker, func(i int, w *darkWorker) {
+		s.rowHits[i], s.rowStats[i] = d.sweepRow(b, i*d.Cfg.Stride, w, s.rowHits[i][:0])
+	}); err != nil {
+		return ScanStats{}, err
+	}
+	var stats ScanStats
+	s.hits = s.hits[:0]
+	for i := 0; i < rows; i++ {
+		s.hits = append(s.hits, s.rowHits[i]...) // lint:alloc grows the pooled hit arena to its high-water mark
+		stats.Windows += s.rowStats[i].Windows
+		stats.Evaluated += s.rowStats[i].Evaluated
+		stats.Hits += s.rowStats[i].Hits
+	}
+	return stats, nil
+}
+
+// sweepRow scans the window row at y, appending its lamp hits to hits.
+// The ROI gate skips windows with no foreground at all (the RTL gates
+// the DBN the same way to hold 50 fps). A window's foreground count is
+// the difference of two prefix sums over the row's 9-pixel column
+// counts, so the gate is O(1) per window; only windows that pass are
+// expanded to floats and classified.
+//
+// lint:hotpath
+func (d *DarkDetector) sweepRow(b *img.Binary, y int, w *darkWorker, hits []Light) ([]Light, ScanStats) {
+	const side = dbn.Window
+	if cap(w.colPre) < b.W+1 {
+		w.colPre = make([]int32, b.W+1) // lint:alloc grows to the map width once per pooled worker
+	}
+	pre := w.colPre[:b.W+1]
+	clear(pre)
+	cols := pre[1:]
+	for wy := 0; wy < side; wy++ {
+		for x, v := range b.Pix[(y+wy)*b.W:][:b.W] {
+			cols[x] += int32(v)
+		}
+	}
+	for x := 1; x <= b.W; x++ {
+		pre[x] += pre[x-1]
+	}
+	var st ScanStats
+	for x := 0; x+side <= b.W; x += d.Cfg.Stride {
+		st.Windows++
+		if pre[x+side] == pre[x] {
+			continue
+		}
+		st.Evaluated++
+		for wy := 0; wy < side; wy++ {
+			for wx, v := range b.Pix[(y+wy)*b.W+x:][:side] {
+				w.window[wy*side+wx] = float64(v)
+			}
+		}
+		class, prob := d.Net.ClassifyWith(&w.net, w.window[:])
+		if class == dbn.ClassNone || prob < d.Cfg.MinProb {
+			continue
+		}
+		st.Hits++
+		hits = append(hits, Light{ // lint:alloc grows the pooled row arena to its high-water mark
+			Box:   img.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side},
+			Class: class,
+			Prob:  prob,
+		})
+	}
+	return hits, st
 }
 
 // mergeLights unions overlapping window hits into one candidate per
@@ -250,6 +432,13 @@ func mergeLights(hits []Light) []Light {
 // candidate lamp pair: vertical misalignment, separation relative to
 // lamp size, size ratio, and class agreement.
 func PairFeatures(a, b Light) []float64 {
+	f := pairFeatures(a, b)
+	return f[:]
+}
+
+// pairFeatures is PairFeatures by value, so the per-pair loop keeps
+// the vector on the stack.
+func pairFeatures(a, b Light) [4]float64 {
 	acx, acy := a.Box.Center()
 	bcx, bcy := b.Box.Center()
 	meanW := float64(a.Box.W()+b.Box.W()) / 2
@@ -264,7 +453,7 @@ func PairFeatures(a, b Light) []float64 {
 	sep := math.Abs(float64(acx-bcx)) / meanW
 	sizeRatio := math.Log(float64(a.Box.Area()+1) / float64(b.Box.Area()+1))
 	classDiff := math.Abs(float64(a.Class - b.Class))
-	return []float64{dy, sep, math.Abs(sizeRatio), classDiff}
+	return [4]float64{dy, sep, math.Abs(sizeRatio), classDiff}
 }
 
 // geometricPairGate is the ablation baseline: fixed thresholds on the
@@ -281,17 +470,44 @@ func (d *DarkDetector) Detect(frame *img.RGB) []Detection {
 	return dets
 }
 
-// DetectCtx is Detect with cancellation and a bounded worker pool for
-// the DBN sliding-window stage (workers <= 0 means NumCPU). Output is
-// identical for every worker count.
+// DetectCtx is Detect with cancellation and a bounded worker pool
+// (workers <= 0 means NumCPU). The frame is converted to gray in the
+// call's scratch, band by band with the taillight mask; otherwise it
+// is DetectGrayCtx. Output is identical for every worker count.
 func (d *DarkDetector) DetectCtx(ctx context.Context, frame *img.RGB, workers int) ([]Detection, error) {
-	factor := d.Cfg.FactorFor(frame.W)
-	b := d.Preprocess(frame)
-	lights, _, err := d.ScanLightsStatsCtx(ctx, b, workers)
+	return d.detect(ctx, frame, nil, workers)
+}
+
+// DetectGrayCtx is DetectCtx over a gray plane the caller already has
+// for this frame (img.RGBToGray of frame, e.g. a FrameStack's source),
+// so a frame that also sweeps a HOG model converts its pixels once.
+// The luma test reads gray, which is bit-equal to the YCbCr luma; only
+// the chroma gate reads the RGB frame. A malformed frame or a gray
+// plane of another size returns an error wrapping ErrBadFrame.
+func (d *DarkDetector) DetectGrayCtx(ctx context.Context, frame *img.RGB, gray *img.Gray, workers int) ([]Detection, error) {
+	if gray == nil {
+		return nil, fmt.Errorf("%w: nil gray plane", ErrBadFrame)
+	}
+	return d.detect(ctx, frame, gray, workers)
+}
+
+// detect runs the whole pipeline in a pooled scratch: the banded front
+// half, the gated DBN sweep and the pair back half. gray nil means
+// convert in the scratch.
+func (d *DarkDetector) detect(ctx context.Context, frame *img.RGB, gray *img.Gray, workers int) ([]Detection, error) {
+	if err := checkFrame(frame, gray); err != nil {
+		return nil, err
+	}
+	s := borrowDark()
+	defer releaseDark(s)
+	b, err := d.preprocess(ctx, s, frame, gray, d.maskBands(frame, workers))
+	if err == nil {
+		_, err = d.sweep(ctx, s, b, workers)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: dark detect: %w", err)
 	}
-	return d.pairLights(lights, frame, factor), nil
+	return d.pairLights(mergeLights(s.hits), frame, d.Cfg.FactorFor(frame.W)), nil
 }
 
 // pairLights runs the spatial-correlation back half of the pipeline:
@@ -310,14 +526,14 @@ func (d *DarkDetector) pairLights(lights []Light, frame *img.RGB, factor int) []
 			if math.Abs(float64(acx-ccx)) > d.Cfg.MaxPairDistFactor*meanW {
 				continue
 			}
-			f := PairFeatures(a, c)
+			f := pairFeatures(a, c)
 			var ok bool
 			var score float64
 			if d.Cfg.UsePairSVM && d.PairSVM != nil {
-				score = d.PairSVM.Margin(f)
+				score = d.PairSVM.Margin(f[:])
 				ok = score > 0
 			} else {
-				ok = d.geometricPairGate(f)
+				ok = d.geometricPairGate(f[:])
 				score = 1
 			}
 			if !ok {

@@ -130,7 +130,7 @@ func TestDetectionsByteIdenticalWithLedger(t *testing.T) {
 	}
 }
 
-// Per-layer allocation budgets of one steady-state 160x90 day frame at
+// Per-layer allocation budgets of one steady-state 160x90 frame at
 // two scan workers with the ledger on, each the measured count on
 // go1.24.0 (the toolchain go.mod pins). A frame's budget is their sum,
 // so a regression names the layer that grew.
@@ -148,6 +148,11 @@ const (
 	// adaptiveAllocBudget: the adaptive frame loop and the ledger feed
 	// (reused encode buffer, arena-backed chain) without detection.
 	adaptiveAllocBudget = 8
+	// darkAllocBudget: the dark pipeline over the gray plane the frame
+	// stack converted (DetectGrayCtx) of a dark frame with one lamp
+	// pair, in its pooled scratch: the DBN-sweep fan-out, light merge,
+	// pairing and NMS (the mask runs in one band at this size).
+	darkAllocBudget = 10
 )
 
 // TestProcessFrameAllocsWithLedger is the hot-path alloc gate with the
@@ -219,6 +224,62 @@ func TestProcessFrameAllocsWithLedger(t *testing.T) {
 	const frameBudget = stackAllocBudget + vehicleSweepAllocBudget + pedestrianSweepAllocBudget + adaptiveAllocBudget
 	if got := allocs(frame()); got > frameBudget {
 		t.Fatalf("steady-state frame with ledger allocates %d objects, budget %d (sum of the layer budgets)", got, frameBudget)
+	}
+}
+
+// TestDarkFrameAllocsWithLedger is the alloc gate's dark layer: the
+// dark pipeline over a stack already converted this frame against its
+// own budget, and a whole steady-state dark frame — one gray
+// conversion, the dark pipeline, the pedestrian sweep over the same
+// stack, adaptive loop and ledger — against the sum of its layers'.
+func TestDarkFrameAllocsWithLedger(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	d := getDets(t)
+	ctx := context.Background()
+	const workers = 2
+	allocs := func(f func()) int {
+		// Warm the pools: first runs grow every buffer to steady state.
+		for i := 0; i < 8; i++ {
+			f()
+		}
+		return int(testing.AllocsPerRun(20, f))
+	}
+	sc := RenderScene(500, 160, 90, Dark) // a lamp pair: pairing and NMS run
+	sc.Lux = 5
+	st := pipeline.NewFrameStack()
+	gray := st.BeginRGB(sc.Frame, workers)
+	var dets []Detection
+	dark := allocs(func() {
+		var err error
+		if dets, err = d.Dark.DetectGrayCtx(ctx, sc.Frame, gray, workers); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(dets) == 0 {
+		t.Fatal("the dark scene yields no detection; the gate would skip pairing")
+	}
+	if dark > darkAllocBudget {
+		t.Errorf("dark pipeline allocates %d objects per frame, budget %d", dark, darkAllocBudget)
+	}
+	sys, err := NewSystem(d, WithInitial(Dark), WithLedger(NewLedger(LedgerConfig{})), WithParallelism(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res FrameResult
+	got := allocs(func() {
+		var err error
+		if res, err = sys.ProcessFrame(sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Cond != Dark || res.VehicleDropped {
+		t.Fatalf("frame ran as %v (vehicle dropped %v), want a steady dark frame", res.Cond, res.VehicleDropped)
+	}
+	const frameBudget = stackAllocBudget + darkAllocBudget + pedestrianSweepAllocBudget + adaptiveAllocBudget
+	if got > frameBudget {
+		t.Fatalf("steady-state dark frame with ledger allocates %d objects, budget %d (sum of the layer budgets)", got, frameBudget)
 	}
 }
 
