@@ -203,8 +203,8 @@ func main() {
 	if *streams > 1 {
 		snap := eng.FleetSnapshot()
 		fst := eng.FleetStats()
-		fmt.Printf("\nfleet: %d streams, %d frames dispatched in %d batches (%d shed)\n",
-			snap.ActiveStreams, fst.Executed, fst.Batches, fst.Rejected)
+		fmt.Printf("\nfleet: %d streams, %d frames dispatched (%d shed)\n",
+			snap.ActiveStreams, fst.Executed, fst.Rejected)
 		fmt.Printf("  aggregate capacity: %.0f streams x fps (deadline %d hit / %d missed)\n",
 			snap.CapacityStreamsFPS, snap.DeadlineHits, snap.DeadlineMisses)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"advdet/internal/adaptive"
 	"advdet/internal/fleet"
@@ -16,7 +15,8 @@ import (
 // internal/metrics.
 type (
 	// FleetStats are the engine dispatcher's monotonic counters
-	// (admitted/rejected/executed/abandoned items and batches).
+	// (admitted/rejected/executed/abandoned frames; Batches counts
+	// dispatches, one per executed frame).
 	FleetStats = fleet.Stats
 	// FleetSnapshot is the engine-wide metrics rollup: per-stream
 	// slot-deadline accounting plus the aggregate streams×fps
@@ -48,9 +48,10 @@ var (
 // Streams created from it.
 //
 // An Engine is safe for concurrent use by all its streams. Close it
-// when done to join the dispatcher's goroutines; single-stream callers
-// who want none of this machinery should use NewSystem, which spawns
-// no goroutines.
+// when done: it waits for in-flight frames and stops the ledger
+// sealer, if any. The dispatcher spawns no goroutines (each frame runs
+// on its Process caller's); single-stream callers who want none of
+// this machinery should use NewSystem.
 type Engine struct {
 	adEng         *adaptive.Engine
 	disp          *fleet.Dispatcher
@@ -84,7 +85,7 @@ func WithEngineParallelism(n int) EngineOption {
 	return func(c *engineConfig) { c.parallelism = n }
 }
 
-// WithFleetWorkers sets the dispatcher's executor pool size: how many
+// WithFleetWorkers sets the dispatcher's executor slot count: how many
 // frames (across all streams) execute concurrently. n <= 0 selects
 // runtime.NumCPU().
 func WithFleetWorkers(n int) EngineOption {
@@ -117,19 +118,8 @@ func WithEngineTemporalCache() EngineOption {
 	return func(c *engineConfig) { c.scanTemporal = true }
 }
 
-// WithBatchPolicy shapes the size-or-deadline batcher: a batch is
-// flushed to the executors when it holds maxBatch frames or when its
-// oldest frame has waited maxWait, whichever comes first. Zero values
-// keep the defaults (4 frames, 2ms).
-func WithBatchPolicy(maxBatch int, maxWait time.Duration) EngineOption {
-	return func(c *engineConfig) {
-		c.fleet.MaxBatch = maxBatch
-		c.fleet.MaxWait = maxWait
-	}
-}
-
 // NewEngine builds the shared engine over a trained detector set and
-// starts its dispatcher. The detectors are treated as immutable from
+// its dispatcher. The detectors are treated as immutable from
 // here on: every stream scans against the same models, exactly as the
 // paper's frame slots execute against the same loaded bitstreams.
 func NewEngine(dets Detectors, opts ...EngineOption) *Engine {
@@ -183,12 +173,13 @@ func (e *Engine) ledgerLocked() *ledger.Ledger {
 	return e.led
 }
 
-// Close shuts the engine down: in-flight frames complete, the
-// dispatcher's goroutines are joined (then the ledger sealer's, which
-// seals the tail batch), and every subsequent Stream.Process fails
-// with ErrEngineClosed. Close is idempotent. Streams need no separate
-// teardown, though closing them first gives a cleaner capacity rollup
-// (closed streams stop counting as active).
+// Close shuts the engine down: in-flight frames complete (the
+// dispatcher waits for every admitted frame), the ledger sealer's
+// goroutine is joined after sealing the tail batch, and every
+// subsequent Stream.Process fails with ErrEngineClosed. Close is
+// idempotent. Streams need no separate teardown, though closing them
+// first gives a cleaner capacity rollup (closed streams stop counting
+// as active).
 func (e *Engine) Close() {
 	e.mu.Lock()
 	e.closed = true

@@ -92,8 +92,8 @@ func main() {
 	fmt.Printf("  streams byte-identical to the standalone run: %d of %d\n", identical, streams)
 
 	st := eng.FleetStats()
-	fmt.Printf("  dispatcher: %d admitted, %d executed, %d batches, %d shed\n",
-		st.Admitted, st.Executed, st.Batches, st.Rejected)
+	fmt.Printf("  dispatcher: %d admitted, %d executed, %d shed\n",
+		st.Admitted, st.Executed, st.Rejected)
 
 	snap := eng.FleetSnapshot()
 	fmt.Printf("\ncapacity rollup (%d active streams):\n", snap.ActiveStreams)

@@ -159,20 +159,53 @@ func TestStreamCloseAndEngineCloseErrors(t *testing.T) {
 	}
 }
 
+// gateSink parks the frame that first emits into it until gate is
+// closed. Sinks run synchronously inside the frame, so the parked frame
+// keeps its executor slot busy.
+type gateSink struct {
+	entered, gate chan struct{}
+	once          sync.Once
+}
+
+func (g *gateSink) Emit(Event) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.gate
+}
+
 // TestFleetOverloadShedsGracefully drives more concurrent frames than
 // the deliberately tiny engine can admit: the excess must fail fast
 // with ErrOverloaded (never deadlock), and admitted frames must still
 // complete once their submitters' contexts resolve.
 func TestFleetOverloadShedsGracefully(t *testing.T) {
 	d := getDets(t)
-	// One executor, an admission bound of one, and a batcher that can
-	// only flush by deadline far in the future: the first admitted
-	// frame waits in the batcher, holding the whole bound, so every
-	// other frame is shed.
+	// One executor slot and an admission bound of one. A holder
+	// stream's frame parks in its event sink, keeping the slot busy;
+	// the first other frame admitted waits for that slot, holding the
+	// whole bound, so every other frame is shed.
 	eng := NewEngine(d,
 		WithFleetWorkers(1),
-		WithQueueDepth(1),
-		WithBatchPolicy(1000, time.Hour))
+		WithQueueDepth(1))
+	sink := &gateSink{entered: make(chan struct{}), gate: make(chan struct{})}
+	holder, err := eng.NewStream(
+		WithStreamName("over-holder"),
+		WithStreamTimingOnly(),
+		WithStreamEventSink(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	holderErr := make(chan error, 1)
+	go func() {
+		_, err := holder.Process(context.Background(), RenderScene(311, 160, 90, Day))
+		holderErr <- err
+	}()
+	select {
+	case <-sink.entered:
+	case err := <-holderErr:
+		t.Fatalf("holder frame finished without parking in its sink: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("holder frame never reached its sink")
+	}
+
 	const streams = 6
 	ctx, cancel := context.WithCancel(context.Background())
 	var overloaded, cancelled, completed int
@@ -204,7 +237,8 @@ func TestFleetOverloadShedsGracefully(t *testing.T) {
 		}()
 	}
 	// Overload rejections are immediate; wait for all of them, then
-	// release the stuck admission by cancelling.
+	// release the waiting admission by cancelling and the holder by
+	// opening its sink.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		mu.Lock()
 		n := overloaded
@@ -216,7 +250,11 @@ func TestFleetOverloadShedsGracefully(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
-	eng.Close() // must not deadlock with abandoned items in the batcher
+	close(sink.gate)
+	if err := <-holderErr; err != nil {
+		t.Fatalf("holder frame: %v", err)
+	}
+	eng.Close() // must not deadlock after an abandoned wait
 	if overloaded == 0 {
 		t.Fatalf("no frame was shed with ErrOverloaded (completed=%d cancelled=%d)", completed, cancelled)
 	}

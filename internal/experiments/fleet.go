@@ -59,9 +59,8 @@ type FleetPerf struct {
 	DeadlineMisses     uint64  `json:"deadline_misses"`
 
 	// Overloaded counts admissions shed with ErrOverloaded and then
-	// retried by the harness; Batches is the dispatcher's flush count.
+	// retried by the harness.
 	Overloaded uint64 `json:"overloaded"`
-	Batches    uint64 `json:"batches"`
 
 	PerStream []StreamPerf `json:"per_stream"`
 }
@@ -231,7 +230,6 @@ func FleetBench(opt FleetOptions) (FleetPerf, error) {
 		rep.SpeedupX = rep.AggregateFPS / rep.SingleStreamFPS
 	}
 	rep.Overloaded = overloads.Load()
-	rep.Batches = disp.Stats().Batches
 	snap := rollup.Snapshot()
 	rep.CapacityStreamsFPS = snap.CapacityStreamsFPS
 	rep.DeadlineHits = snap.DeadlineHits
@@ -255,5 +253,5 @@ func WriteFleet(w io.Writer, p FleetPerf) {
 	fmt.Fprintf(w, "  fleet aggregate: %.1f fps wall (%.2fx single-stream)\n", p.AggregateFPS, p.SpeedupX)
 	fmt.Fprintf(w, "  modeled capacity: %.0f streams×fps (deadline %d hit / %d missed)\n",
 		p.CapacityStreamsFPS, p.DeadlineHits, p.DeadlineMisses)
-	fmt.Fprintf(w, "  dispatcher: %d batches, %d overload shed+retry\n", p.Batches, p.Overloaded)
+	fmt.Fprintf(w, "  dispatcher: %d overload shed+retry\n", p.Overloaded)
 }

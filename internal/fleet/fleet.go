@@ -1,18 +1,18 @@
 // Package fleet multiplexes N concurrent camera streams over one
-// shared, bounded worker pool. Admission is bounded with backpressure
-// — once QueueDepth admitted items are waiting for an executor, Submit
-// fails fast with the typed ErrOverloaded instead of queueing
-// unboundedly — and admitted work flows through a size-or-deadline
-// batcher: items accumulate until the batch is full or the oldest item
-// has waited MaxWait, then the whole batch is handed to the executor
-// pool. Every item carries timing stamps (enqueued, flushed, started,
-// finished) so callers can attribute frame latency to queueing,
-// batching and execution.
+// shared, bounded pool of executor slots. Admission is bounded with
+// backpressure — once QueueDepth admitted items are waiting for a
+// slot, Submit fails fast with the typed ErrOverloaded instead of
+// queueing unboundedly — and an admitted item runs on its submitter's
+// own goroutine the moment one of the Workers slots is free, waiting
+// submitters taking freed slots in arrival order. Every item carries
+// timing stamps (enqueued, started, finished) so callers can attribute
+// frame latency to waiting and execution.
 //
 // The dispatcher is the software analogue of the paper's frame-slot
-// arbitration: a fixed fabric (the executor pool) time-shared by
-// whichever camera slots have work, with a hard admission bound in
-// place of the camera's fixed slot count.
+// arbitration: a fixed fabric (the executor slots) time-shared by
+// whichever camera slots have work, each frame starting as soon as the
+// fabric is free, with a hard admission bound in place of the camera's
+// fixed slot count.
 package fleet
 
 import (
@@ -46,20 +46,13 @@ var (
 
 // Config shapes a Dispatcher.
 type Config struct {
-	// Workers is the executor pool size; <= 0 selects runtime.NumCPU().
+	// Workers is the number of executor slots: how many items run at
+	// once; <= 0 selects runtime.NumCPU().
 	Workers int
-	// QueueDepth bounds how many admitted items may wait for an
-	// executor — in the admission queue, in the batcher's open batch,
-	// or mid hand-off — at once; beyond it Submit fails with
-	// ErrOverloaded. <= 0 selects 2×Workers.
+	// QueueDepth bounds how many admitted items may wait for a slot at
+	// once; beyond it Submit fails with ErrOverloaded. <= 0 selects
+	// 2×Workers.
 	QueueDepth int
-	// MaxBatch flushes a batch when it reaches this many items;
-	// <= 0 selects 4.
-	MaxBatch int
-	// MaxWait flushes a non-empty batch once its oldest item has
-	// waited this long, bounding the latency cost of batching;
-	// <= 0 selects 2ms.
-	MaxWait time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -69,273 +62,148 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 4
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	return c
 }
 
 // Timing is one item's trip through the dispatcher.
 type Timing struct {
-	Enqueued time.Time // Submit admitted the item to the queue
-	Flushed  time.Time // the batcher flushed the item's batch
-	Started  time.Time // an executor picked the item up
+	Enqueued time.Time // Submit admitted the item
+	Started  time.Time // the item took an executor slot
 	Finished time.Time // the item's work function returned
 }
 
-// QueueWait is the time spent in admission + batching before an
-// executor picked the item up.
+// QueueWait is the time the item spent admitted but waiting for an
+// executor slot.
 func (t Timing) QueueWait() time.Duration { return t.Started.Sub(t.Enqueued) }
 
 // Run is the execution time of the work function itself.
 func (t Timing) Run() time.Duration { return t.Finished.Sub(t.Started) }
 
-// item claim states: an item is run at most once, and exactly one of
-// the executor (claim) or the abandoning submitter (abandon) wins.
-const (
-	statePending int32 = iota
-	stateClaimed
-	stateAbandoned
-)
-
-type item struct {
-	ctx   context.Context
-	run   func(context.Context)
-	tm    Timing
-	state atomic.Int32
-	done  chan struct{}
-}
-
 // Stats are the dispatcher's monotonic counters.
 type Stats struct {
-	Admitted  uint64 // items accepted into the queue
+	Admitted  uint64 // items accepted past the admission bound
 	Rejected  uint64 // items refused with ErrOverloaded
 	Executed  uint64 // items whose work function ran
 	Abandoned uint64 // items whose submitter gave up before execution
-	Batches   uint64 // batches flushed (by size or by deadline)
+	// Batches counts dispatches: every admitted item is dispatched
+	// alone, so it equals Executed.
+	Batches uint64
 }
 
-// Dispatcher is the shared bounded worker pool with a size-or-deadline
-// batcher in front. Build with NewDispatcher; Submit is safe for
-// concurrent use by any number of streams.
+// Dispatcher is the shared bounded pool of executor slots. Build with
+// NewDispatcher; Submit is safe for concurrent use by any number of
+// streams. A Dispatcher spawns no goroutines: every item runs on its
+// submitter's.
 type Dispatcher struct {
-	cfg    Config
-	in     chan *item // bounded admission queue
-	exec   chan *item // batcher → executor hand-off
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	cfg Config
+	// slots is the executor semaphore: a send takes a slot, a receive
+	// frees one. Go queues blocked senders FIFO and a receive hands
+	// the freed slot straight to the oldest of them, so waiting items
+	// start in arrival order.
+	slots chan struct{}
 
-	mu       sync.RWMutex // guards closed against in-flight Submit sends
-	closed   bool
-	shutdown func()
-	once     sync.Once
+	mu     sync.RWMutex // orders closed against in-flight Submit's inflight.Add
+	closed bool
+	// inflight counts admitted Submits that have not returned; Close
+	// waits for it.
+	inflight sync.WaitGroup
 
-	// waiting counts admitted items no executor has taken yet. It is
-	// the admission bound: the batcher drains the queue channel into
-	// its open batch as items arrive, so the channel's own fullness
-	// would depend on whether the batcher ran between two sends.
+	// waiting counts admitted items that hold no slot yet: the
+	// admission bound.
 	waiting atomic.Int64
 
 	admitted  atomic.Uint64
 	rejected  atomic.Uint64
 	executed  atomic.Uint64
 	abandoned atomic.Uint64
-	batches   atomic.Uint64
 }
 
-// NewDispatcher starts the batcher and executor goroutines. The
-// dispatcher runs until Close, which drains and completes all admitted
-// work before returning.
+// NewDispatcher builds a dispatcher with cfg's defaults applied. It
+// runs until Close, which waits for every admitted item.
 func NewDispatcher(cfg Config) *Dispatcher {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background()) // lint:ctxroot dispatcher-owned lifetime; items carry their submitter's ctx
-	d := &Dispatcher{
-		cfg:    cfg,
-		in:     make(chan *item, cfg.QueueDepth),
-		exec:   make(chan *item),
-		cancel: cancel,
-	}
-	d.wg.Add(1)
-	go d.batchLoop()
-	d.wg.Add(cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		go d.execLoop(ctx)
-	}
-	// shutdown is the single joiner for every goroutine spawned above:
-	// mark closed so no new Submit can send, close the admission
-	// queue, and wait for the batcher to flush and the executors to
-	// drain. Defined here so the goroutines' lifetime is visible at
-	// their spawn site; Close runs it exactly once.
-	d.shutdown = func() {
-		d.mu.Lock()
-		d.closed = true
-		d.mu.Unlock()
-		close(d.in)
-		d.wg.Wait()
-		d.cancel()
-	}
-	return d
+	return &Dispatcher{cfg: cfg, slots: make(chan struct{}, cfg.Workers)}
 }
 
-// Submit admits one unit of work and blocks until it has executed (or
-// until ctx is cancelled while the item still waits in queue). The
-// work function receives the submitter's ctx and must honour its
-// cancellation. On success the item's Timing is returned for latency
-// attribution.
+// Submit admits one unit of work, waits for a free executor slot and
+// runs the work on the calling goroutine, returning once it has
+// executed (or once ctx is cancelled while the item still waits for a
+// slot). The work function receives the submitter's ctx and must
+// honour its cancellation. On success the item's Timing is returned
+// for latency attribution. An admitted Submit allocates nothing.
 //
-// Failure modes, all errors.Is-matchable: a pre-cancelled or
-// in-queue-cancelled ctx wraps the context error; a full admission
-// queue wraps ErrOverloaded; a closed dispatcher wraps ErrClosed. In
-// every failure case the work function has not run and never will.
+// Failure modes, all errors.Is-matchable: a pre-cancelled ctx or one
+// cancelled while waiting for a slot wraps the context error; a full
+// admission queue wraps ErrOverloaded; a closed dispatcher wraps
+// ErrClosed. In every failure case the work function has not run and
+// never will.
+//
+// lint:hotpath
 func (d *Dispatcher) Submit(ctx context.Context, run func(context.Context)) (Timing, error) {
 	if err := ctx.Err(); err != nil {
-		return Timing{}, fmt.Errorf("fleet: submit: %w", err)
+		return Timing{}, fmt.Errorf("fleet: submit: %w", err) // lint:alloc cold error path
 	}
-	it := &item{ctx: ctx, run: run, done: make(chan struct{})}
-	it.tm.Enqueued = time.Now()
+	tm := Timing{Enqueued: time.Now()}
 
-	// The RLock spans the closed check and the send so Close (which
-	// takes the write lock before closing the channel) can never close
-	// the queue out from under an in-flight send.
+	// The RLock spans the closed check and inflight.Add so Close
+	// (which takes the write lock before waiting) never waits on a
+	// group a new Submit is still joining.
 	d.mu.RLock()
 	if d.closed {
 		d.mu.RUnlock()
-		return Timing{}, fmt.Errorf("fleet: submit: %w", ErrClosed)
+		return Timing{}, fmt.Errorf("fleet: submit: %w", ErrClosed) // lint:alloc cold error path
 	}
 	if d.waiting.Add(1) > int64(d.cfg.QueueDepth) {
 		d.waiting.Add(-1)
 		d.mu.RUnlock()
 		d.rejected.Add(1)
-		return Timing{}, fmt.Errorf("fleet: submit: %w", ErrOverloaded)
+		return Timing{}, fmt.Errorf("fleet: submit: %w", ErrOverloaded) // lint:alloc cold error path
 	}
-	// Never blocks: the channel holds QueueDepth items and only
-	// waiting ones are ever in it.
-	d.in <- it
+	d.inflight.Add(1)
 	d.mu.RUnlock()
+	defer d.inflight.Done()
 	d.admitted.Add(1)
 
 	select {
-	case <-it.done:
-	case <-ctx.Done():
-		if it.state.CompareAndSwap(statePending, stateAbandoned) {
-			// Won the race against the executor: the item is dead in
-			// queue and its work function will never run.
-			d.abandoned.Add(1)
-			return Timing{}, fmt.Errorf("fleet: submit: abandoned in queue: %w", ctx.Err())
-		}
-		// An executor already claimed the item; it is running with the
-		// (now cancelled) ctx and will finish promptly. Report its
-		// completion rather than racing it.
-		<-it.done
-	}
-	return it.tm, nil
-}
-
-// batchLoop accumulates admitted items and flushes by size or
-// deadline. It exits when the admission queue is closed, flushing the
-// tail batch and closing the executor hand-off so the pool drains.
-func (d *Dispatcher) batchLoop() {
-	defer d.wg.Done()
-	defer close(d.exec)
-	timer := time.NewTimer(d.cfg.MaxWait)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	batch := make([]*item, 0, d.cfg.MaxBatch)
-	for {
-		if len(batch) == 0 {
-			it, ok := <-d.in
-			if !ok {
-				return
-			}
-			batch = append(batch, it)
-			timer.Reset(d.cfg.MaxWait)
-		}
-		if len(batch) < d.cfg.MaxBatch {
-			select {
-			case it, ok := <-d.in:
-				if !ok {
-					d.flush(&batch, timer)
-					return
-				}
-				batch = append(batch, it)
-				continue
-			case <-timer.C:
-				d.flush(&batch, nil)
-				continue
-			}
-		}
-		d.flush(&batch, timer)
-	}
-}
-
-// flush stamps and hands the batch to the executors, recycling the
-// batch slice. A non-nil timer is disarmed (the flush pre-empted the
-// deadline).
-func (d *Dispatcher) flush(batch *[]*item, timer *time.Timer) {
-	if timer != nil && !timer.Stop() {
-		select {
-		case <-timer.C:
-		default:
-		}
-	}
-	// Count the batch when it is sealed, not after the hand-off: a
-	// submitter whose item already executed must see its batch in
-	// Stats.
-	d.batches.Add(1)
-	now := time.Now()
-	for _, it := range *batch {
-		it.tm.Flushed = now
-		d.exec <- it
+	case d.slots <- struct{}{}:
 		d.waiting.Add(-1)
+	case <-ctx.Done():
+		d.waiting.Add(-1)
+		d.abandoned.Add(1)
+		return Timing{}, fmt.Errorf("fleet: submit: abandoned in queue: %w", ctx.Err()) // lint:alloc cold error path
 	}
-	*batch = (*batch)[:0]
+	defer d.release()
+	tm.Started = time.Now()
+	run(ctx)
+	tm.Finished = time.Now()
+	d.executed.Add(1)
+	return tm, nil
 }
 
-// execLoop drains the hand-off channel until the batcher closes it.
-func (d *Dispatcher) execLoop(ctx context.Context) {
-	defer d.wg.Done()
-	for it := range d.exec {
-		d.execute(ctx, it)
-	}
-}
+// release frees the caller's executor slot, handing it to the oldest
+// waiting submitter if there is one.
+func (d *Dispatcher) release() { <-d.slots }
 
-// execute runs one item: the steady-state fleet dispatch path, one
-// invocation per admitted frame, so it must stay allocation-free.
-// Exactly one of execute (claim) and an abandoning Submit wins the
-// item; execute always closes done so the submitter unblocks.
-//
-// lint:hotpath
-func (d *Dispatcher) execute(ctx context.Context, it *item) {
-	it.tm.Started = time.Now()
-	if ctx.Err() == nil && it.ctx.Err() == nil &&
-		it.state.CompareAndSwap(statePending, stateClaimed) {
-		it.run(it.ctx)
-		d.executed.Add(1)
-	}
-	it.tm.Finished = time.Now()
-	close(it.done)
-}
-
-// Close marks the dispatcher closed, drains and completes every
-// admitted item, and joins all goroutines. Submit after Close fails
-// with ErrClosed. Close is idempotent and safe to call concurrently
-// with Submit.
+// Close marks the dispatcher closed and waits until every admitted
+// item has run or been abandoned. Submit after Close fails with
+// ErrClosed. Close is idempotent and safe to call concurrently with
+// Submit.
 func (d *Dispatcher) Close() {
-	d.once.Do(d.shutdown)
+	d.mu.Lock()
+	d.closed = true
+	d.mu.Unlock()
+	d.inflight.Wait()
 }
 
 // Stats returns a snapshot of the dispatcher's counters.
 func (d *Dispatcher) Stats() Stats {
+	executed := d.executed.Load()
 	return Stats{
 		Admitted:  d.admitted.Load(),
 		Rejected:  d.rejected.Load(),
-		Executed:  d.executed.Load(),
+		Executed:  executed,
 		Abandoned: d.abandoned.Load(),
-		Batches:   d.batches.Load(),
+		Batches:   executed,
 	}
 }
 

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +12,7 @@ import (
 )
 
 func TestSubmitRunsWorkAndStampsTiming(t *testing.T) {
-	d := NewDispatcher(Config{Workers: 1, MaxWait: time.Millisecond})
+	d := NewDispatcher(Config{Workers: 1})
 	defer d.Close()
 	ran := false
 	tm, err := d.Submit(context.Background(), func(context.Context) { ran = true })
@@ -20,7 +22,7 @@ func TestSubmitRunsWorkAndStampsTiming(t *testing.T) {
 	if !ran {
 		t.Fatal("work function did not run")
 	}
-	if tm.Enqueued.After(tm.Flushed) || tm.Flushed.After(tm.Started) || tm.Started.After(tm.Finished) {
+	if tm.Enqueued.After(tm.Started) || tm.Started.After(tm.Finished) {
 		t.Fatalf("timing not monotonic: %+v", tm)
 	}
 	if tm.QueueWait() < 0 || tm.Run() < 0 {
@@ -32,79 +34,55 @@ func TestSubmitRunsWorkAndStampsTiming(t *testing.T) {
 	}
 }
 
-func TestBatchFlushesBySize(t *testing.T) {
-	// MaxWait is far beyond the test's patience: the only way the
-	// three submissions can complete is a size-triggered flush.
-	d := NewDispatcher(Config{Workers: 2, QueueDepth: 8, MaxBatch: 3, MaxWait: time.Hour})
-	defer d.Close()
-	var wg sync.WaitGroup
-	var executed atomic.Int32
-	wg.Add(3)
-	for i := 0; i < 3; i++ {
-		go func() {
-			defer wg.Done()
-			if _, err := d.Submit(context.Background(), func(context.Context) { executed.Add(1) }); err != nil {
-				t.Errorf("submit: %v", err)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("size-of-3 batch never flushed (deadline flush is an hour away)")
-	}
-	if executed.Load() != 3 {
-		t.Fatalf("executed %d, want 3", executed.Load())
-	}
-	if st := d.Stats(); st.Batches != 1 {
-		t.Fatalf("batches %d, want exactly 1 (one full batch)", st.Batches)
-	}
-}
-
-func TestBatchFlushesByDeadline(t *testing.T) {
-	const wait = 50 * time.Millisecond
-	// MaxBatch is unreachably large: only the deadline can flush.
-	d := NewDispatcher(Config{Workers: 1, QueueDepth: 8, MaxBatch: 1000, MaxWait: wait})
-	defer d.Close()
-	start := time.Now()
-	tm, err := d.Submit(context.Background(), func(context.Context) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if held := tm.Flushed.Sub(start); held < wait/2 {
-		t.Fatalf("flushed after %v, want the deadline hold of ~%v", held, wait)
-	}
-	if st := d.Stats(); st.Batches != 1 || st.Executed != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
-// blockedDispatcher builds a single-worker dispatcher whose one
-// executor is parked inside a work function until gate is closed.
-func blockedDispatcher(t *testing.T, depth int) (d *Dispatcher, gate chan struct{}, blockerDone chan error) {
+// blockedDispatcher builds a dispatcher whose workers executor slots
+// are all held by work functions parked until gate is closed; each
+// holder's Submit error arrives on blockerDone.
+func blockedDispatcher(t *testing.T, workers, depth int) (d *Dispatcher, gate chan struct{}, blockerDone chan error) {
 	t.Helper()
-	d = NewDispatcher(Config{Workers: 1, QueueDepth: depth, MaxBatch: 1, MaxWait: time.Millisecond})
+	d = NewDispatcher(Config{Workers: workers, QueueDepth: depth})
 	gate = make(chan struct{})
-	started := make(chan struct{})
-	blockerDone = make(chan error, 1)
-	go func() {
-		_, err := d.Submit(context.Background(), func(context.Context) {
-			close(started)
-			<-gate
-		})
-		blockerDone <- err
-	}()
-	<-started
+	started := make(chan struct{}, workers)
+	blockerDone = make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			_, err := d.Submit(context.Background(), func(context.Context) {
+				started <- struct{}{}
+				<-gate
+			})
+			blockerDone <- err
+		}()
+		<-started
+	}
 	return d, gate, blockerDone
 }
 
+// waitParked waits until n goroutines are blocked in Submit's select,
+// i.e. queued on the slot semaphore (or on their ctx).
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		parked := 0
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte(" [select")) && bytes.Contains(g, []byte("(*Dispatcher).Submit(")) {
+				parked++
+			}
+		}
+		if parked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d submitters parked for a slot, want %d", parked, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
-	d, gate, blockerDone := blockedDispatcher(t, 1)
-	// With the executor parked, one more submission can wait (blocked
-	// in the batcher's flush, holding the depth-1 bound); sixteen
-	// concurrent submitters must see rejections.
+	d, gate, blockerDone := blockedDispatcher(t, 1, 1)
+	// With the executor slot held, one more submission can wait for
+	// it, holding the depth-1 bound; sixteen concurrent submitters
+	// must see rejections.
 	const submitters = 16
 	var rejected, accepted atomic.Int32
 	var wg sync.WaitGroup
@@ -153,14 +131,12 @@ func TestSubmitOverloadedWhenQueueFull(t *testing.T) {
 }
 
 // TestAdmissionBoundCountsBatchedItems pins the admission bound to
-// the items waiting for an executor, wherever they wait: items the
-// batcher has already drained from the queue channel into its open
-// batch still count, so with QueueDepth items held by a batch that
-// cannot flush, the next Submit is refused at once, however the
-// batcher goroutine happened to be scheduled.
+// the items waiting for an executor slot: with every slot held busy
+// and QueueDepth admitted items queued behind them, the next Submit is
+// refused at once, and the queued items still run once the slots free.
 func TestAdmissionBoundCountsBatchedItems(t *testing.T) {
-	const depth = 2
-	d := NewDispatcher(Config{Workers: 1, QueueDepth: depth, MaxBatch: 1000, MaxWait: time.Hour})
+	const workers, depth = 2, 2
+	d, gate, blockerDone := blockedDispatcher(t, workers, depth)
 	var wg sync.WaitGroup
 	wg.Add(depth)
 	for i := 0; i < depth; i++ {
@@ -171,15 +147,10 @@ func TestAdmissionBoundCountsBatchedItems(t *testing.T) {
 			}
 		}()
 	}
-	for d.Stats().Admitted < depth {
-		time.Sleep(time.Millisecond)
-	}
-	// Give the batcher every chance to drain the channel first: the
-	// bound must not depend on it.
-	time.Sleep(10 * time.Millisecond)
+	waitParked(t, depth)
 	for i := 0; i < 3; i++ {
-		// An admitted item would wait an hour for its batch; the
-		// timeout turns that into an abandon error instead of a hang.
+		// An admitted item would wait for the gate; the timeout turns
+		// that into an abandon error instead of a hang.
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		_, err := d.Submit(ctx, func(context.Context) {})
 		cancel()
@@ -187,10 +158,17 @@ func TestAdmissionBoundCountsBatchedItems(t *testing.T) {
 			t.Fatalf("submit %d beyond the bound: err = %v, want ErrOverloaded", i, err)
 		}
 	}
-	d.Close() // flushes the held batch; the admitted items run
+	close(gate)
 	wg.Wait()
-	if st := d.Stats(); st.Admitted != depth || st.Executed != depth || st.Rejected != 3 {
-		t.Fatalf("stats %+v, want %d admitted and executed, 3 rejected", st, depth)
+	for w := 0; w < workers; w++ {
+		if err := <-blockerDone; err != nil {
+			t.Fatalf("blocker: %v", err)
+		}
+	}
+	d.Close()
+	const admitted = workers + depth
+	if st := d.Stats(); st.Admitted != admitted || st.Executed != admitted || st.Rejected != 3 {
+		t.Fatalf("stats %+v, want %d admitted and executed, 3 rejected", st, admitted)
 	}
 }
 
@@ -213,7 +191,7 @@ func TestSubmitPreCancelledContextNeverAdmits(t *testing.T) {
 }
 
 func TestSubmitAbandonedInQueueOnCancel(t *testing.T) {
-	d, gate, blockerDone := blockedDispatcher(t, 4)
+	d, gate, blockerDone := blockedDispatcher(t, 1, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := make(chan struct{}, 1)
 	errc := make(chan error, 1)
@@ -221,14 +199,9 @@ func TestSubmitAbandonedInQueueOnCancel(t *testing.T) {
 		_, err := d.Submit(ctx, func(context.Context) { ran <- struct{}{} })
 		errc <- err
 	}()
-	// Let the submission be admitted, then cancel while it waits
-	// behind the parked executor.
-	for deadline := time.Now().Add(5 * time.Second); d.Stats().Admitted < 2; {
-		if time.Now().After(deadline) {
-			t.Fatal("second submission never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Let the submission queue for the slot, then cancel while it
+	// waits behind the parked executor.
+	waitParked(t, 1)
 	cancel()
 	err := <-errc
 	if !errors.Is(err, context.Canceled) {
@@ -250,7 +223,7 @@ func TestSubmitAbandonedInQueueOnCancel(t *testing.T) {
 }
 
 func TestCloseDrainsAdmittedWorkThenRejects(t *testing.T) {
-	d := NewDispatcher(Config{Workers: 2, QueueDepth: 16, MaxBatch: 4, MaxWait: time.Millisecond})
+	d := NewDispatcher(Config{Workers: 2, QueueDepth: 16})
 	var executed atomic.Int32
 	var wg sync.WaitGroup
 	const n = 10
@@ -294,7 +267,7 @@ func TestSentinelsAreDistinct(t *testing.T) {
 }
 
 func TestConcurrentSubmittersAllComplete(t *testing.T) {
-	d := NewDispatcher(Config{Workers: 4, QueueDepth: 256, MaxBatch: 8, MaxWait: 100 * time.Microsecond})
+	d := NewDispatcher(Config{Workers: 4, QueueDepth: 256})
 	defer d.Close()
 	const streams = 8
 	const frames = 50
@@ -320,8 +293,8 @@ func TestConcurrentSubmittersAllComplete(t *testing.T) {
 	if st.Admitted != streams*frames || st.Executed != streams*frames {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Batches == 0 || st.Batches > st.Admitted {
-		t.Fatalf("implausible batch count %d for %d items", st.Batches, st.Admitted)
+	if st.Batches != st.Executed {
+		t.Fatalf("dispatches %d, want one per executed item (%d)", st.Batches, st.Executed)
 	}
 }
 
@@ -329,7 +302,129 @@ func TestConfigDefaults(t *testing.T) {
 	d := NewDispatcher(Config{})
 	defer d.Close()
 	cfg := d.Config()
-	if cfg.Workers <= 0 || cfg.QueueDepth != 2*cfg.Workers || cfg.MaxBatch != 4 || cfg.MaxWait != 2*time.Millisecond {
+	if cfg.Workers <= 0 || cfg.QueueDepth != 2*cfg.Workers {
 		t.Fatalf("defaults %+v", cfg)
+	}
+}
+
+// TestWaitersTakeSlotsInArrivalOrder: submitters queued behind a busy
+// executor start in the order they arrived, not in a scheduler- or
+// select-chosen order.
+func TestWaitersTakeSlotsInArrivalOrder(t *testing.T) {
+	const waiters = 8
+	d, gate, blockerDone := blockedDispatcher(t, 1, waiters)
+	var mu sync.Mutex
+	var order []int
+	var wg sync.WaitGroup
+	wg.Add(waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			defer wg.Done()
+			if _, err := d.Submit(context.Background(), func(context.Context) {
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+			}); err != nil {
+				t.Errorf("waiter %d: %v", i, err)
+			}
+		}()
+		// Queue waiter i before waiter i+1 arrives.
+		waitParked(t, i+1)
+	}
+	close(gate)
+	wg.Wait()
+	if err := <-blockerDone; err != nil {
+		t.Fatalf("blocker: %v", err)
+	}
+	d.Close()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("start order %v, want arrival order 0..%d", order, waiters-1)
+		}
+	}
+	if len(order) != waiters {
+		t.Fatalf("%d of %d waiters ran", len(order), waiters)
+	}
+}
+
+// TestCancelledWaiterNeverRuns: a submitter cancelled while queued for
+// a slot returns the context error and is counted abandoned at once;
+// its work function never runs, and the waiters around it still do.
+func TestCancelledWaiterNeverRuns(t *testing.T) {
+	d, gate, blockerDone := blockedDispatcher(t, 1, 3)
+	var ran [3]atomic.Bool
+	ctxs := make([]context.Context, 3)
+	cancels := make([]context.CancelFunc, 3)
+	errs := make([]chan error, 3)
+	for i := range ctxs {
+		ctxs[i], cancels[i] = context.WithCancel(context.Background())
+		defer cancels[i]()
+		errs[i] = make(chan error, 1)
+		go func() {
+			_, err := d.Submit(ctxs[i], func(context.Context) { ran[i].Store(true) })
+			errs[i] <- err
+		}()
+		waitParked(t, i+1)
+	}
+	cancels[1]()
+	if err := <-errs[1]; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter err = %v, want context.Canceled", err)
+	}
+	if st := d.Stats(); st.Abandoned != 1 || st.Executed != 0 {
+		t.Fatalf("stats %+v, want 1 abandoned and nothing executed yet", st)
+	}
+	close(gate)
+	for _, i := range []int{0, 2} {
+		if err := <-errs[i]; err != nil {
+			t.Fatalf("waiter %d: %v", i, err)
+		}
+	}
+	if err := <-blockerDone; err != nil {
+		t.Fatalf("blocker: %v", err)
+	}
+	d.Close()
+	if !ran[0].Load() || ran[1].Load() || !ran[2].Load() {
+		t.Fatalf("ran = %v %v %v, want the cancelled waiter alone skipped", ran[0].Load(), ran[1].Load(), ran[2].Load())
+	}
+	if st := d.Stats(); st.Admitted != 4 || st.Executed != 3 || st.Abandoned != 1 {
+		t.Fatalf("stats %+v, want 4 admitted, 3 executed, 1 abandoned", st)
+	}
+}
+
+// TestSubmitAllocatesNothing: the fleet dispatch path runs once per
+// frame and must stay allocation-free.
+func TestSubmitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	d := NewDispatcher(Config{Workers: 1})
+	defer d.Close()
+	ctx := context.Background()
+	noop := func(context.Context) {}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := d.Submit(ctx, noop); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("admitted Submit allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestDispatcherSpawnsNoGoroutines: every item runs on its submitter's
+// goroutine, so building, using and closing a dispatcher leaves the
+// goroutine count where it was. (Only growth is checked: a goroutine
+// of an earlier test may still be exiting.)
+func TestDispatcherSpawnsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	d := NewDispatcher(Config{Workers: 4})
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("NewDispatcher: %d goroutines, was %d", n, before)
+	}
+	if _, err := d.Submit(context.Background(), func(context.Context) {}); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("after Close: %d goroutines, was %d", n, before)
 	}
 }

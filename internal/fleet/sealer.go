@@ -6,8 +6,7 @@ import (
 )
 
 // Sealer is the wall-clock half of the ledger's size-or-deadline batch
-// sealing — the same discipline as the Dispatcher's frame batcher. The
-// ledger itself seals deterministically on size and on simulated-time
+// sealing. The ledger itself seals deterministically on size and on simulated-time
 // span; the Sealer adds a real-time liveness bound so a quiet engine
 // (no frames arriving) still publishes its open batch within ~interval
 // of wall time.

@@ -9,8 +9,7 @@
 //   - per-stream chains: head' = H(tag || head || H(tag || payload)) —
 //     order and content of one camera's events;
 //   - per-batch Merkle trees over the leaves of all streams, sealed by
-//     size or simulated-time deadline (the same size-or-deadline
-//     discipline as the fleet dispatcher's frame batcher);
+//     size or simulated-time deadline;
 //   - the anchor chain over sealed roots: anchor' = H(tag || anchor ||
 //     root).
 //

@@ -109,8 +109,7 @@ func TestSealBySize(t *testing.T) {
 }
 
 // TestSealBySpan: with a huge size bound, the simulated-time deadline
-// alone must seal — mirroring the fleet batcher's size-or-deadline
-// discipline.
+// alone must seal.
 func TestSealBySpan(t *testing.T) {
 	l := New(Config{MaxBatch: 1 << 30, MaxSpanPS: 1000})
 	l.Append(0, 100, []byte("a"))

@@ -56,10 +56,10 @@ const (
 	// tile fingerprinting plus dirty-mask propagation (wall time only;
 	// zero when no cache is attached).
 	StageScanTemporal
-	// StageFleetDispatch is one frame's trip through the fleet
-	// dispatcher's admission queue and batcher before an executor
-	// picked it up (wall time only; the dispatcher is host-side
-	// software with no simulated-hardware counterpart).
+	// StageFleetDispatch is one frame's wait in the fleet dispatcher,
+	// from admission until it took a free executor slot (wall time
+	// only; the dispatcher is host-side software with no
+	// simulated-hardware counterpart).
 	StageFleetDispatch
 	// NumStages bounds the stage space.
 	NumStages

@@ -170,17 +170,17 @@ func (s *Stream) Mode() Mode { return s.sys.Mode() }
 // Enabled=false unless WithStreamMetrics was given).
 func (s *Stream) Snapshot() MetricsSnapshot { return s.sys.Snapshot() }
 
-// Process runs one frame through the engine: the frame is admitted to
-// the engine's bounded queue (failing fast with ErrOverloaded beyond
-// capacity), batched, and executed on the shared worker pool with the
-// stream's own adaptive state. Frames on one stream are processed
-// strictly in order; concurrent Process calls on different streams
-// multiplex over the pool.
+// Process runs one frame through the engine: the frame is admitted
+// against the engine's bounded queue (failing fast with ErrOverloaded
+// beyond capacity), waits for a free executor slot, and runs on the
+// calling goroutine with the stream's own adaptive state. Frames on
+// one stream are processed strictly in order; concurrent Process
+// calls on different streams multiplex over the executor slots.
 //
 // The returned errors are errors.Is-matchable: ErrOverloaded (queue
 // full), ErrStreamClosed (after Close), ErrEngineClosed (engine shut
 // down), or the context error if ctx is cancelled while the frame
-// waits in queue or mid-scan.
+// waits for a slot or mid-scan.
 func (s *Stream) Process(ctx context.Context, sc *Scene) (FrameResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,8 +195,8 @@ func (s *Stream) Process(ctx context.Context, sc *Scene) (FrameResult, error) {
 	if err != nil {
 		return FrameResult{}, fmt.Errorf("advdet: stream %s: %w", s.name, err)
 	}
-	// Attribute the dispatcher trip (admission queue + batcher wait)
-	// to the stream's telemetry; nil-safe when metrics are off.
+	// Attribute the dispatcher wait (admission to a free executor
+	// slot) to the stream's telemetry; nil-safe when metrics are off.
 	s.sys.Metrics().StageObserve(metrics.StageFleetDispatch, 0, uint64(tm.QueueWait()))
 	return res, ferr
 }
