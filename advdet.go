@@ -267,10 +267,22 @@ var (
 	ErrBankSelect = adaptive.ErrBankSelect
 )
 
-// ErrFrontEndMismatch: a system or stream was opened with vehicle and
-// pedestrian detectors whose HOG configuration or pyramid scale
-// differ. Every frame's detectors sweep one shared HOG front end.
-var ErrFrontEndMismatch = adaptive.ErrFrontEndMismatch
+// Typed input errors, for errors.Is against boot and frame errors.
+var (
+	// ErrFrontEndMismatch: a system or stream was opened with vehicle
+	// and pedestrian detectors whose HOG configuration or pyramid scale
+	// differ. Every frame's detectors sweep one shared HOG front end.
+	ErrFrontEndMismatch = adaptive.ErrFrontEndMismatch
+	// ErrScanGeometry: a system or stream was opened with a HOG
+	// detector whose stride is not a multiple of the cell size, or
+	// whose model does not fit its window.
+	ErrScanGeometry = pipeline.ErrScanGeometry
+	// ErrBadFrame: a scene handed to ProcessFrame or Stream.Process is
+	// nil, or its frame is nil, zero-size, or has a pixel buffer that
+	// is not 3·W·H bytes. The frame is refused before it advances any
+	// state.
+	ErrBadFrame = pipeline.ErrBadFrame
+)
 
 // NewFaultPlan returns an empty fault plan seeded for its
 // probabilistic (Chaos) rules. Arm deterministic rules with

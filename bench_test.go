@@ -619,42 +619,11 @@ func BenchmarkDetectDayDusk(b *testing.B) {
 	}
 }
 
-// BenchmarkScanBlockResponse isolates the PR's tentpole: the same
-// 640x360 day scan with the block-response engine on ("block") and
-// forced onto the per-window descriptor path ("descriptor"), serial so
-// the comparison is pure arithmetic, not scheduling. Both produce
-// identical detections; block must be >= 2x faster.
-func BenchmarkScanBlockResponse(b *testing.B) {
-	day, _, _ := benchDetectors(b)
-	sc := synth.RenderScene(synth.NewRNG(9), synth.DefaultSceneConfig(640, 360, synth.Day))
-	gray := img.RGBToGray(sc.Frame)
-	ctx := context.Background()
-	for _, bc := range []struct {
-		name     string
-		noBlocks bool
-	}{{"block", false}, {"descriptor", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			det := *day
-			det.NoBlockResponse = bc.noBlocks
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := det.DetectCtx(ctx, gray, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkScanEarlyReject isolates this PR's tentpole: the same
-// 640x360 day scan with the partial-margin early exit on ("early",
-// the production default), with the exit disabled ("full", the full
-// precomputed response plane — PR5's path), through the fixed-point
-// datapath ("quantized"), and forced onto the per-window descriptor
-// path ("descriptor"). Serial so the comparison is pure arithmetic,
-// not scheduling. early/full/quantized produce identical detections;
-// descriptor matches boxes with scores within 1e-9 relative.
+// BenchmarkScanEarlyReject compares the sweep's two window
+// evaluators on the same 640x360 day scan: the float partial-margin
+// early exit ("early", the production default) and the fixed-point
+// datapath ("quantized"). Serial so the comparison is pure
+// arithmetic, not scheduling. Both produce identical detections.
 func BenchmarkScanEarlyReject(b *testing.B) {
 	day, _, _ := benchDetectors(b)
 	sc := synth.RenderScene(synth.NewRNG(9), synth.DefaultSceneConfig(640, 360, synth.Day))
@@ -665,9 +634,7 @@ func BenchmarkScanEarlyReject(b *testing.B) {
 		set  func(d *pipeline.DayDuskDetector)
 	}{
 		{"early", func(d *pipeline.DayDuskDetector) {}},
-		{"full", func(d *pipeline.DayDuskDetector) { d.NoEarlyReject = true }},
 		{"quantized", func(d *pipeline.DayDuskDetector) { d.Quantized = true }},
-		{"descriptor", func(d *pipeline.DayDuskDetector) { d.NoBlockResponse = true }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			det := *day
@@ -685,7 +652,7 @@ func BenchmarkScanEarlyReject(b *testing.B) {
 
 // BenchmarkScanTemporalCache isolates this PR's tentpole: the same
 // static-camera 640x360 day sequence scanned cold (no cache — every
-// frame pays the full feature/block/response stack) and warm (temporal
+// frame pays the full feature/block stack) and warm (temporal
 // cache attached — consecutive frames recompute only the tiles the
 // moving vehicles dirtied). Serial so the comparison is pure
 // arithmetic. Detections are byte-identical between the two lanes;

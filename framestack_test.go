@@ -1,10 +1,13 @@
 package advdet
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"advdet/internal/img"
 	"advdet/internal/synth"
 )
 
@@ -131,5 +134,62 @@ func TestReconfigurationInvalidatesFrameStack(t *testing.T) {
 		if st, _ := snap.StageByName(name); st.Count != uint64(len(frames)) {
 			t.Fatalf("stage %q observed %d times over %d frames, want once per frame", name, st.Count, len(frames))
 		}
+	}
+}
+
+// TestMalformedFrameReturnsErrBadFrame: a scene that is not a frame —
+// nil, a nil frame, a zero-size frame, a pixel buffer of the wrong
+// length — is refused with ErrBadFrame by System.ProcessFrameCtx and
+// Stream.Process alike, before it advances any state: the next valid
+// frame's result is the one a system that never saw the bad input
+// returns.
+func TestMalformedFrameReturnsErrBadFrame(t *testing.T) {
+	d := getDets(t)
+	good := RenderScene(7, 160, 96, Day)
+	bad := []*Scene{
+		nil,
+		{Lux: good.Lux},
+		{Frame: &img.RGB{}, Lux: good.Lux},
+		{Frame: &img.RGB{W: good.Frame.W, H: good.Frame.H, Pix: good.Frame.Pix[:100]}, Lux: good.Lux},
+	}
+	ref, err := NewSystem(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.ProcessFrame(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(d)
+	defer eng.Close()
+	st, err := eng.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, sc := range bad {
+		if _, err := sys.ProcessFrameCtx(ctx, sc); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("bad scene %d: System.ProcessFrameCtx error %v, want ErrBadFrame", i, err)
+		}
+		if _, err := st.Process(ctx, sc); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("bad scene %d: Stream.Process error %v, want ErrBadFrame", i, err)
+		}
+	}
+	got, err := sys.ProcessFrameCtx(ctx, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("system after bad frames: %+v, want %+v", got, want)
+	}
+	if got, err = st.Process(ctx, good); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stream after bad frames: %+v, want %+v", got, want)
 	}
 }

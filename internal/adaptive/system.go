@@ -53,45 +53,53 @@ type Detectors struct {
 	Pedestrian *pipeline.PedestrianDetector
 }
 
-// withScanOptions applies the system-level scan lane flags to the HOG
-// detectors by shallow-cloning the affected ones: Detectors values are
-// shared across streams of one engine (and the models across engines),
-// so the per-system flags must never write through the shared
+// withScanOptions applies the system-level scan options to the HOG
+// detectors by shallow-cloning them: Detectors values are shared
+// across streams of one engine (and the models across engines), so
+// the per-system options must never write through the shared
 // pointers.
 func (d Detectors) withScanOptions(opt Options) Detectors {
-	if !opt.ScanQuantized && !opt.ScanNoEarlyReject {
-		return d
-	}
-	if d.Day != nil {
-		c := *d.Day
-		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		d.Day = &c
-	}
-	if d.Dusk != nil {
-		c := *d.Dusk
-		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		d.Dusk = &c
-	}
-	if d.Pedestrian != nil {
-		c := *d.Pedestrian
-		c.Quantized, c.NoEarlyReject = opt.ScanQuantized, opt.ScanNoEarlyReject
-		d.Pedestrian = &c
+	if opt.ScanQuantized {
+		d.Day, d.Dusk, d.Pedestrian = quantized(d.Day), quantized(d.Dusk), quantized(d.Pedestrian)
 	}
 	return d
 }
 
-// checkFrontEnd rejects a detector set whose vehicle and pedestrian
-// sweeps could not share one frame stack: every frame's sweeps read
-// one HOG front end, so they must agree on its configuration and
-// pyramid scale.
-func (d Detectors) checkFrontEnd() error {
-	if d.Pedestrian == nil {
+// quantized returns a shallow clone of a HOG detector with the
+// quantized datapath selected; nil stays nil.
+func quantized[D any, P interface {
+	*D
+	Scan() *pipeline.ScanConfig
+}](d P) P {
+	if d == nil {
 		return nil
 	}
+	c := *d
+	P(&c).Scan().Quantized = true
+	return &c
+}
+
+// checkFrontEnd rejects a detector set the frame loop could not
+// sweep: vehicle and pedestrian detectors that disagree on the HOG
+// configuration or pyramid scale of the one frame stack they share
+// (ErrFrontEndMismatch) and, when runs, a stride or model off the
+// block grid (pipeline.ErrScanGeometry).
+func (d Detectors) checkFrontEnd(runs bool) error {
 	for _, v := range []*pipeline.DayDuskDetector{d.Day, d.Dusk} {
-		if v != nil && (v.HOG != d.Pedestrian.HOG || v.Scale != d.Pedestrian.Scale) {
+		switch {
+		case v == nil:
+		case d.Pedestrian != nil && (v.HOG != d.Pedestrian.HOG || v.Scale != d.Pedestrian.Scale):
 			return fmt.Errorf("%w: vehicle HOG %+v/%g, pedestrian HOG %+v/%g", ErrFrontEndMismatch,
 				v.HOG, v.Scale, d.Pedestrian.HOG, d.Pedestrian.Scale)
+		case runs:
+			if err := v.CheckGeometry(); err != nil {
+				return fmt.Errorf("adaptive: vehicle detector: %w", err)
+			}
+		}
+	}
+	if d.Pedestrian != nil && runs {
+		if err := d.Pedestrian.CheckGeometry(); err != nil {
+			return fmt.Errorf("adaptive: pedestrian detector: %w", err)
 		}
 	}
 	return nil
@@ -149,11 +157,8 @@ type Options struct {
 	// The system's detectors are shallow-cloned with the flag set, so
 	// shared Detectors values are never mutated.
 	ScanQuantized bool
-	// ScanNoEarlyReject disables the partial-margin early exit in the
-	// HOG scans, scoring every window from the full response plane.
-	ScanNoEarlyReject bool
 	// ScanTemporalCache reuses the system's frame stack — and each
-	// sweep's rows and planes — across consecutive frames, recomputing
+	// sweep's window rows — across consecutive frames, recomputing
 	// only what each frame's dirty tiles invalidate (byte-identical
 	// output; see pipeline.NewTemporalCache). Each system owns its own
 	// cache, so the option is safe across streams sharing Detectors.
@@ -328,7 +333,7 @@ func newSystem(eng *Engine, dets Detectors, opt Options) (*System, error) {
 		return nil, fmt.Errorf("adaptive: bitstream size must be positive, got %d", opt.BitstreamBytes)
 	}
 	opt.Retry = opt.Retry.withDefaults()
-	if err := dets.checkFrontEnd(); err != nil {
+	if err := dets.checkFrontEnd(opt.RunDetectors); err != nil {
 		return nil, err
 	}
 	dets = dets.withScanOptions(opt)
@@ -464,11 +469,18 @@ func (s *System) ProcessFrame(sc *synth.Scene) (FrameResult, error) {
 // advanced the platform's simulated time and counters, so callers
 // should treat the system as mid-stream, not roll it back.
 //
-// It also returns an error if the monitor's bands have been mutated
-// into an incoherent configuration, or if a partial reconfiguration
-// cannot be launched; the frame is not processed in either case.
+// It also returns an error, and processes nothing, if the scene is not
+// a frame (pipeline.ErrBadFrame, wrapped), if the monitor's bands have
+// been mutated into an incoherent configuration, or if a partial
+// reconfiguration cannot be launched.
 func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameResult, error) {
 	if err := ctx.Err(); err != nil {
+		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
+	}
+	if sc == nil {
+		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w: nil scene", s.frameIdx, pipeline.ErrBadFrame)
+	}
+	if err := pipeline.CheckFrame(sc.Frame); err != nil {
 		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
 	}
 	if err := s.Monitor.Validate(); err != nil {

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/pipeline"
 	"advdet/internal/soc"
+	"advdet/internal/svm"
 	"advdet/internal/synth"
 )
 
@@ -282,5 +284,26 @@ func TestFrontEndMismatchRejected(t *testing.T) {
 	day.HOG.Bins++
 	if _, err := New(Detectors{Day: day, Pedestrian: ped}, DefaultOptions()); !errors.Is(err, ErrFrontEndMismatch) {
 		t.Fatalf("err = %v, want ErrFrontEndMismatch", err)
+	}
+}
+
+// TestScanGeometryRejectedAtBoot: a detector set the frame loop could
+// not sweep — a vehicle stride off the 8-px cell grid — is refused at
+// boot with pipeline.ErrScanGeometry instead of scanning slowly; a
+// timing-only system, which never sweeps, still boots.
+func TestScanGeometryRejectedAtBoot(t *testing.T) {
+	w := make([]float64, hog.DefaultConfig().DescriptorLen(pipeline.VehicleWindow, pipeline.VehicleWindow))
+	day := pipeline.NewDayDuskDetector(&svm.Model{W: w})
+	if _, err := New(Detectors{Day: day}, DefaultOptions()); err != nil {
+		t.Fatalf("aligned stride refused: %v", err)
+	}
+	day.Stride = 12
+	if _, err := New(Detectors{Day: day}, DefaultOptions()); !errors.Is(err, pipeline.ErrScanGeometry) {
+		t.Fatalf("err = %v, want ErrScanGeometry", err)
+	}
+	opt := DefaultOptions()
+	opt.RunDetectors = false
+	if _, err := New(Detectors{Day: day}, opt); err != nil {
+		t.Fatalf("timing-only system refused: %v", err)
 	}
 }

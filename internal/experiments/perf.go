@@ -54,20 +54,14 @@ type PerfReport struct {
 
 	// One real serial day scan over a 640x360 frame, broken into the
 	// block-response engine's stages (additive in advdet-bench/v1).
-	ScanBlockPath bool            `json:"scan_block_path"`
-	ScanTotalMS   float64         `json:"scan_total_ms"`
-	ScanStages    []ScanStagePerf `json:"scan_stages"`
+	ScanTotalMS float64         `json:"scan_total_ms"`
+	ScanStages  []ScanStagePerf `json:"scan_stages"`
 
-	// Scan-lane comparison (additive in advdet-bench/v1): the same
-	// serial scan through each scoring strategy — the early-reject
-	// cascade (production default), the full precomputed response
-	// plane, the int16/int32 fixed-point datapath, and the per-window
-	// descriptor fallback. SpeedupX is full-margin over early-reject.
+	// Scan datapath comparison (additive in advdet-bench/v1): the same
+	// serial scan through the float early-reject evaluator (production
+	// default) and the int16/int32 fixed-point one.
 	ScanEarlyRejectMS float64 `json:"scan_early_reject_ms"`
-	ScanFullMarginMS  float64 `json:"scan_full_margin_ms"`
 	ScanQuantizedMS   float64 `json:"scan_quantized_ms"`
-	ScanDescriptorMS  float64 `json:"scan_descriptor_ms"`
-	ScanEarlySpeedupX float64 `json:"scan_early_speedup_x"`
 
 	// Fleet capacity: N concurrent streams over one shared engine vs
 	// a standalone stream (additive in advdet-bench/v1).
@@ -197,7 +191,6 @@ func PerfBench() (PerfReport, error) {
 	if _, err := scanDet.DetectTimedCtx(context.Background(), scanFrame, 1, &tm); err != nil { // lint:ctxroot benchmark harness owns the run
 		return rep, err
 	}
-	rep.ScanBlockPath = tm.BlockPath
 	rep.ScanTotalMS = (tm.Resize + tm.Feature + tm.Blocks + tm.Response + tm.Windows + tm.Prefilter).Seconds() * 1e3
 	rep.ScanStages = []ScanStagePerf{
 		{Stage: "resize", WallMS: tm.Resize.Seconds() * 1e3},
@@ -207,7 +200,7 @@ func PerfBench() (PerfReport, error) {
 		{Stage: "windows", WallMS: tm.Windows.Seconds() * 1e3},
 	}
 
-	// Lane comparison: the same frame through each scoring strategy,
+	// Datapath comparison: the same frame through each evaluator,
 	// serial, best of three so a stray scheduler hiccup on one rep
 	// doesn't masquerade as a regression.
 	lane := func(set func(d *pipeline.DayDuskDetector)) (float64, error) {
@@ -232,17 +225,8 @@ func PerfBench() (PerfReport, error) {
 	if rep.ScanEarlyRejectMS, err = lane(func(d *pipeline.DayDuskDetector) {}); err != nil {
 		return rep, err
 	}
-	if rep.ScanFullMarginMS, err = lane(func(d *pipeline.DayDuskDetector) { d.NoEarlyReject = true }); err != nil {
-		return rep, err
-	}
 	if rep.ScanQuantizedMS, err = lane(func(d *pipeline.DayDuskDetector) { d.Quantized = true }); err != nil {
 		return rep, err
-	}
-	if rep.ScanDescriptorMS, err = lane(func(d *pipeline.DayDuskDetector) { d.NoBlockResponse = true }); err != nil {
-		return rep, err
-	}
-	if rep.ScanEarlyRejectMS > 0 {
-		rep.ScanEarlySpeedupX = rep.ScanFullMarginMS / rep.ScanEarlyRejectMS
 	}
 
 	// Temporal scan cache: the same scan geometry over a static-camera
@@ -344,19 +328,13 @@ func WritePerf(w io.Writer, p PerfReport) {
 		p.Frames, p.FrameLatencyP50MS, p.FrameLatencyP99MS, p.DeadlineHits, p.DeadlineMisses)
 	fmt.Fprintf(w, "  reconfiguration %.2f ms; %d vehicle frame(s) dropped, %d model switch(es), %d overrun(s)\n",
 		p.ReconfigMS, p.VehicleFramesDropped, p.ModelSwitches, p.SlotOverruns)
-	path := "descriptor"
-	if p.ScanBlockPath {
-		path = "block-response"
-	}
-	fmt.Fprintf(w, "  vehicle scan (640x360, serial, %s path): %.2f ms total\n", path, p.ScanTotalMS)
+	fmt.Fprintf(w, "  vehicle scan (640x360, serial): %.2f ms total\n", p.ScanTotalMS)
 	for _, s := range p.ScanStages {
 		fmt.Fprintf(w, "    stage %-9s %7.3f ms\n", s.Stage, s.WallMS)
 	}
 	if p.ScanEarlyRejectMS > 0 {
-		fmt.Fprintf(w, "  scan lanes: early-reject %.2f ms, full-margin %.2f ms (%.2fx), "+
-			"quantized %.2f ms, descriptor %.2f ms\n",
-			p.ScanEarlyRejectMS, p.ScanFullMarginMS, p.ScanEarlySpeedupX,
-			p.ScanQuantizedMS, p.ScanDescriptorMS)
+		fmt.Fprintf(w, "  scan datapaths: early-reject %.2f ms, quantized %.2f ms\n",
+			p.ScanEarlyRejectMS, p.ScanQuantizedMS)
 	}
 	if p.ScanTemporalColdMS > 0 {
 		fmt.Fprintf(w, "  temporal cache (static camera, 640x360): cold %.2f ms, warm %.2f ms (%.2fx), tile hit rate %.1f%%\n",

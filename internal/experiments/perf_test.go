@@ -47,11 +47,8 @@ func TestPerfBenchReportSchema(t *testing.T) {
 		t.Fatalf("sense stage count %d, want %d", sense.Count, rep.Frames)
 	}
 
-	// The scan breakdown took the block-response path and covers the
-	// engine's five stages in datapath order.
-	if !rep.ScanBlockPath {
-		t.Fatal("scan breakdown did not take the block-response path")
-	}
+	// The scan breakdown covers the engine's five stages in datapath
+	// order.
 	wantStages := []string{"resize", "feature", "blocks", "response", "windows"}
 	if len(rep.ScanStages) != len(wantStages) {
 		t.Fatalf("%d scan stages, want %d", len(rep.ScanStages), len(wantStages))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
@@ -31,19 +30,7 @@ type AnimalDetector struct {
 	Thresh       float64
 	DetectThresh float64
 	NMSIoU       float64
-	// NoBlockResponse disables the block-response scoring engine
-	// (see DayDuskDetector.NoBlockResponse).
-	NoBlockResponse bool
-	// NoEarlyReject disables the partial-margin early exit
-	// (see DayDuskDetector.NoEarlyReject).
-	NoEarlyReject bool
-	// Quantized scores windows in the fixed-point datapath
-	// (see DayDuskDetector.Quantized).
-	Quantized bool
-	// Prefilter integral-image-rejects scan windows before HOG scoring
-	// when trained at this detector's window geometry
-	// (see DayDuskDetector.Prefilter).
-	Prefilter *haar.Cascade
+	ScanConfig
 }
 
 // NewAnimalDetector wraps a trained model with default scan settings.
@@ -77,7 +64,8 @@ func (d *AnimalDetector) Detect(g *img.Gray) []Detection {
 
 // DetectCtx is Detect with cancellation and a bounded worker pool
 // sharing one per-level feature cache (workers <= 0 means NumCPU).
-// Output is identical for every worker count.
+// Output is identical for every worker count. Errors are
+// DayDuskDetector.DetectCtx's.
 func (d *AnimalDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int) ([]Detection, error) {
 	return d.DetectTimedCtx(ctx, g, workers, nil)
 }
@@ -86,14 +74,16 @@ func (d *AnimalDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int
 // tm may be nil and is written only on success. It builds a one-sweep
 // frame stack over g and sweeps it.
 func (d *AnimalDetector) DetectTimedCtx(ctx context.Context, g *img.Gray, workers int, tm *ScanTimings) ([]Detection, error) {
-	return detectOnce(ctx, nil, g, workers, tm, windowSweep{
+	return detectOnce(ctx, d.Temporal, g, workers, tm, d.sweep(), d.NMSIoU, "animal")
+}
+
+func (d *AnimalDetector) sweep() windowSweep {
+	return windowSweep{
 		Cfg: d.HOG, Model: d.Model,
 		WinW: AnimalWindowW, WinH: AnimalWindowH,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
-		Kind: KindAnimal, NoBlockResponse: d.NoBlockResponse,
-		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
-		Prefilter: d.Prefilter,
-	}, d.NMSIoU, "animal")
+		Kind: KindAnimal, ScanConfig: d.ScanConfig,
+	}
 }
 
 // TrainAnimalSVM trains the animal model from a crop dataset.

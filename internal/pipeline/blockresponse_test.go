@@ -7,111 +7,152 @@ import (
 	"testing"
 
 	"advdet/internal/haar"
+	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/synth"
 )
 
-// scanVariant selects which scoring strategy a test scan runs with;
-// the zero value is the production default (block-response engine
-// with the partial-margin early exit).
-type scanVariant struct {
-	noBlocks  bool // force the per-window descriptor path
-	noEarly   bool // disable the early exit (full response plane)
-	quantized bool // fixed-point scoring with float borderline fallback
-	prefilter *haar.Cascade
+// scanLane is one scoring lane of a sweep: the float early-reject or
+// the quantized on-demand datapath, with the haar prefilter off or on.
+type scanLane struct{ quant, haar bool }
+
+// scanLanes is every lane a sweep runs. The equivalence tests check
+// each of them against one oracle, hogOracle.
+var scanLanes = []scanLane{{false, false}, {true, false}, {false, true}, {true, true}}
+
+func (l scanLane) String() string {
+	name := "early"
+	if l.quant {
+		name = "quantized"
+	}
+	if l.haar {
+		name += "-haar"
+	}
+	return name
 }
 
-// scanFn runs one full detect under a scoring variant, so the table
-// below can exercise every detector kind through one code path.
-type scanFn func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection
+// config is the lane's ScanConfig for a winW x winH sweep. The haar
+// lanes gate windows with edgeCascade, a pixel-dependent prefilter
+// that rejects a real share of the lattice.
+func (l scanLane) config(winW, winH int) ScanConfig {
+	c := ScanConfig{Quantized: l.quant}
+	if l.haar {
+		c.Prefilter = edgeCascade(winW, winH)
+	}
+	return c
+}
 
-// blockEquivalenceCases covers all four HOG scan kinds of the system:
-// day and dusk vehicles, pedestrians, animals.
-func blockEquivalenceCases(t *testing.T) []struct {
+// hogOracle is the serial reference every sweep lane is checked
+// against: scanPyramid scoring each window with Model.Margin over its
+// full HOG descriptor, assembled from its level's feature map (per-crop
+// Cfg.Extract where the window leaves the cell grid), behind the
+// sweep's haar prefilter when its window matches. No block grid, block
+// model or frame stack is involved, so the sweep's scores agree with
+// it to float reassociation (~1e-9 relative) and its boxes exactly.
+func hogOracle(s windowSweep, g *img.Gray) []Detection {
+	var level *img.Gray
+	var fm *hog.FeatureMap
+	var it *haar.Integral
+	usePref := false
+	if s.Prefilter != nil {
+		pw, ph := s.Prefilter.Window()
+		usePref = pw == s.WinW && ph == s.WinH
+	}
+	return scanPyramid(g, s.WinW, s.WinH, s.Stride, s.Scale, s.Thresh, func(l *img.Gray, r img.Rect) float64 {
+		if l != level {
+			level, fm, it = l, s.Cfg.NewFeatureMap(l), haar.NewIntegral(l)
+		}
+		if usePref && !s.Prefilter.AcceptAt(it, r.X0, r.Y0) {
+			return math.Inf(-1)
+		}
+		desc := fm.Descriptor(r.X0, r.Y0, s.WinW, s.WinH, nil)
+		if desc == nil {
+			desc = s.Cfg.Extract(l.SubImage(r))
+		}
+		return s.Model.Margin(desc)
+	}, s.Kind)
+}
+
+// scanCase is one HOG detector kind over a frame it fires on.
+type scanCase struct {
 	name  string
 	frame *img.Gray
-	scan  scanFn
-} {
+	sweep windowSweep // the detector's sweep; its ScanConfig is set per scan
+	nms   float64
+}
+
+// lane is l's ScanConfig at the case's window.
+func (c scanCase) lane(l scanLane) ScanConfig { return l.config(c.sweep.WinW, c.sweep.WinH) }
+
+// scan runs the detector's DetectCtx path with the given scan
+// configuration.
+func (c scanCase) scan(t *testing.T, workers int, cfg ScanConfig) []Detection {
 	t.Helper()
-	dayModel := trainSmall(t, synth.DayDataset(700, 64, 64, 50, 50))
-	duskModel := trainSmall(t, synth.DuskDataset(701, 64, 64, 50, 50, 0))
+	s := c.sweep
+	s.ScanConfig = cfg
+	dets, err := detectOnce(context.Background(), cfg.Temporal, c.frame, workers, nil, s, c.nms, c.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dets
+}
+
+// oracle is scan's reference: hogOracle plus the detector's NMS.
+func (c scanCase) oracle(cfg ScanConfig) []Detection {
+	s := c.sweep
+	s.ScanConfig = cfg
+	return NMS(hogOracle(s, c.frame), c.nms)
+}
+
+// scanCases covers all four HOG scan kinds of the system: day and dusk
+// vehicles, pedestrians, animals.
+func scanCases(t *testing.T) []scanCase {
+	t.Helper()
+	day := NewDayDuskDetector(trainSmall(t, synth.DayDataset(700, 64, 64, 50, 50)))
+	dusk := NewDayDuskDetector(trainSmall(t, synth.DuskDataset(701, 64, 64, 50, 50, 0)))
+	dusk.DetectThresh = -0.25 // loosen so the scene yields detections to compare
 	ped := trainPed(t, 702)
+	ped.DetectThresh = -0.25
 	animal := trainAnimal(t, 705)
 	dayFrame := scanScene(710, 320, 200)
 	duskFrame := img.RGBToGray(synth.RenderScene(synth.NewRNG(711),
 		synth.SceneConfig{W: 320, H: 200, Cond: synth.Dusk, NumVehicles: 2}).Frame)
-	return []struct {
-		name  string
-		frame *img.Gray
-		scan  scanFn
-	}{
-		{"day", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
-			det := NewDayDuskDetector(dayModel)
-			applyVariant(&det.NoBlockResponse, &det.NoEarlyReject, &det.Quantized, &det.Prefilter, v)
-			dets, err := det.DetectCtx(context.Background(), g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dets
-		}},
-		{"dusk", duskFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
-			det := NewDayDuskDetector(duskModel)
-			det.DetectThresh = -0.25 // loosen so the scene yields detections to compare
-			applyVariant(&det.NoBlockResponse, &det.NoEarlyReject, &det.Quantized, &det.Prefilter, v)
-			dets, err := det.DetectCtx(context.Background(), g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dets
-		}},
-		{"pedestrian", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
-			d := *ped
-			d.DetectThresh = -0.25 // loosen so the scene yields detections to compare
-			applyVariant(&d.NoBlockResponse, &d.NoEarlyReject, &d.Quantized, &d.Prefilter, v)
-			dets, err := d.DetectCtx(context.Background(), g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dets
-		}},
-		{"animal", dayFrame, func(t *testing.T, g *img.Gray, workers int, v scanVariant) []Detection {
-			d := *animal
-			applyVariant(&d.NoBlockResponse, &d.NoEarlyReject, &d.Quantized, &d.Prefilter, v)
-			dets, err := d.DetectCtx(context.Background(), g, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dets
-		}},
+	return []scanCase{
+		{"day", dayFrame, day.sweep(), day.NMSIoU},
+		{"dusk", duskFrame, dusk.sweep(), dusk.NMSIoU},
+		{"pedestrian", dayFrame, ped.sweep(), ped.NMSIoU},
+		{"animal", dayFrame, animal.sweep(), animal.NMSIoU},
 	}
 }
 
-// TestBlockResponseMatchesDescriptorPath is the engine's acceptance
-// gate: for every scan kind and worker count, the block-response path
-// must produce the same detections as the descriptor path — identical
-// boxes, kinds and count, with scores within 1e-9 relative (the two
-// paths sum the same products in different order).
+// TestBlockResponseMatchesDescriptorPath is the sweep's acceptance
+// gate: for every scan kind, lane and worker count, the block-response
+// sweep must produce the oracle's detections — identical boxes, kinds
+// and count, with scores within 1e-9 relative (the two sum the same
+// products in different order).
 func TestBlockResponseMatchesDescriptorPath(t *testing.T) {
-	for _, tc := range blockEquivalenceCases(t) {
+	for _, tc := range scanCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.scan(t, tc.frame, 1, scanVariant{noBlocks: true}) // descriptor path, serial
-			if len(ref) == 0 {
-				t.Fatalf("%s: reference scan found nothing; scene too easy to miss a regression", tc.name)
-			}
-			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				got := tc.scan(t, tc.frame, workers, scanVariant{})
-				if len(got) != len(ref) {
-					t.Fatalf("workers=%d: %d detections, want %d", workers, len(got), len(ref))
+			for _, lane := range scanLanes {
+				ref := tc.oracle(tc.lane(lane))
+				if len(ref) == 0 && !lane.haar {
+					t.Fatalf("%s: oracle found nothing; scene too easy to miss a regression", tc.name)
 				}
-				for i := range ref {
-					if got[i].Box != ref[i].Box || got[i].Kind != ref[i].Kind {
-						t.Fatalf("workers=%d: detection %d = %+v, want %+v", workers, i, got[i], ref[i])
+				for _, workers := range []int{1, 2, runtime.NumCPU()} {
+					got := tc.scan(t, workers, tc.lane(lane))
+					if len(got) != len(ref) {
+						t.Fatalf("%s workers=%d: %d detections, want %d", lane, workers, len(got), len(ref))
 					}
-					d := math.Abs(got[i].Score - ref[i].Score)
-					scale := math.Max(math.Abs(ref[i].Score), 1)
-					if d/scale > 1e-9 {
-						t.Fatalf("workers=%d: detection %d score %v, want %v (rel %g)",
-							workers, i, got[i].Score, ref[i].Score, d/scale)
+					for i := range ref {
+						if got[i].Box != ref[i].Box || got[i].Kind != ref[i].Kind {
+							t.Fatalf("%s workers=%d: detection %d = %+v, want %+v", lane, workers, i, got[i], ref[i])
+						}
+						d := math.Abs(got[i].Score - ref[i].Score)
+						scale := math.Max(math.Abs(ref[i].Score), 1)
+						if d/scale > 1e-9 {
+							t.Fatalf("%s workers=%d: detection %d score %v, want %v (rel %g)",
+								lane, workers, i, got[i].Score, ref[i].Score, d/scale)
+						}
 					}
 				}
 			}
@@ -138,7 +179,6 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		set  func(d *DayDuskDetector)
 	}{
 		{"early", func(d *DayDuskDetector) {}},
-		{"full-margin", func(d *DayDuskDetector) { d.NoEarlyReject = true }},
 		{"quantized", func(d *DayDuskDetector) { d.Quantized = true }},
 		{"prefilter", func(d *DayDuskDetector) { d.Prefilter = constCascade(64, 64, -1) }},
 		{"temporal", func(d *DayDuskDetector) { d.Temporal = NewTemporalCache() }},
@@ -165,17 +205,13 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestScanTimingsReported checks DetectTimedCtx fills every stage and
-// flags the block path.
+// TestScanTimingsReported checks DetectTimedCtx fills every stage.
 func TestScanTimingsReported(t *testing.T) {
 	det := NewDayDuskDetector(trainSmall(t, synth.DayDataset(730, 64, 64, 40, 40)))
 	g := scanScene(731, 256, 160)
 	var tm ScanTimings
 	if _, err := det.DetectTimedCtx(context.Background(), g, 1, &tm); err != nil {
 		t.Fatal(err)
-	}
-	if !tm.BlockPath {
-		t.Fatal("aligned-stride scan did not take the block path")
 	}
 	for _, st := range []struct {
 		name string
@@ -190,15 +226,5 @@ func TestScanTimingsReported(t *testing.T) {
 		if st.d <= 0 {
 			t.Fatalf("stage %s reported no wall time", st.name)
 		}
-	}
-	det.NoBlockResponse = true
-	if _, err := det.DetectTimedCtx(context.Background(), g, 1, &tm); err != nil {
-		t.Fatal(err)
-	}
-	if tm.BlockPath {
-		t.Fatal("NoBlockResponse scan still flagged the block path")
-	}
-	if tm.Blocks != 0 || tm.Response != 0 {
-		t.Fatal("descriptor path attributed time to block stages")
 	}
 }

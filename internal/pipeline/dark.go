@@ -101,11 +101,16 @@ func (c DarkConfig) FactorFor(w int) int {
 	return f
 }
 
-// ErrBadFrame reports a dark-pipeline input that is not a frame: nil,
-// zero-size, a pixel buffer whose length is not 3·W·H, or a gray plane
-// whose size differs from the frame's. DetectCtx and DetectGrayCtx
-// return it wrapped; test with errors.Is.
+// ErrBadFrame reports an input that is not a frame: nil, zero-size, a
+// pixel buffer whose length is not 3·W·H, or a gray plane whose size
+// differs from the frame's. CheckFrame and the dark pipeline's
+// DetectCtx and DetectGrayCtx return it wrapped; test with errors.Is.
 var ErrBadFrame = errors.New("pipeline: malformed frame")
+
+// CheckFrame reports, wrapping ErrBadFrame, an RGB frame that is nil,
+// zero-size, or whose pixel buffer is not 3·W·H bytes. Callers check
+// before FrameStack.BeginRGB, which trusts its frame.
+func CheckFrame(frame *img.RGB) error { return checkFrame(frame, nil) }
 
 // checkFrame validates a dark-pipeline input; gray may be nil.
 func checkFrame(frame *img.RGB, gray *img.Gray) error {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
@@ -31,26 +30,7 @@ type DayDuskDetector struct {
 	// positives.
 	DetectThresh float64
 	NMSIoU       float64
-	// NoBlockResponse disables the block-response scoring engine and
-	// scores every window through its full descriptor. Benchmarks and
-	// equivalence tests use it; production leaves it false.
-	NoBlockResponse bool
-	// NoEarlyReject disables the partial-margin early exit and scores
-	// every window through the full precomputed response plane.
-	NoEarlyReject bool
-	// Quantized scores windows in the fixed-point datapath; every
-	// window it does not reject re-scores in float, so detections are
-	// identical to the float scan, boxes and scores.
-	Quantized bool
-	// Prefilter, when non-nil and trained at the vehicle window
-	// geometry, integral-image-rejects scan windows before HOG scoring.
-	Prefilter *haar.Cascade
-	// Temporal, when non-nil, reuses the feature/block/response stack
-	// across consecutive frames, recomputing only what each frame's
-	// dirty tiles invalidate (see NewTemporalCache). Byte-identical
-	// output; a cache binds this detector to one frame sequence and
-	// must not be shared across detectors or concurrent scans.
-	Temporal *TemporalCache
+	ScanConfig
 }
 
 // NewDayDuskDetector wraps a trained model with default scan settings.
@@ -93,7 +73,9 @@ func (d *DayDuskDetector) Detect(g *img.Gray) []Detection {
 // the per-frame HOG feature cache is computed once per pyramid level
 // and window rows are fanned out across workers goroutines
 // (workers <= 0 means NumCPU). Output is identical for every worker
-// count. On cancellation it returns the context's error wrapped.
+// count. On cancellation it returns the context's error wrapped; a
+// stride off the cell grid, or a model that does not fit the window,
+// returns ErrScanGeometry wrapped.
 func (d *DayDuskDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int) ([]Detection, error) {
 	return d.DetectTimedCtx(ctx, g, workers, nil)
 }
@@ -115,14 +97,17 @@ func (d *DayDuskDetector) SweepCtx(ctx context.Context, st *FrameStack, workers 
 	return d.sweep().detect(ctx, st, workers, tm, d.NMSIoU, "day-dusk")
 }
 
+// CheckGeometry reports, wrapping ErrScanGeometry, a stride or model
+// the detector's sweep could not score; nil means every scan call
+// passes that check.
+func (d *DayDuskDetector) CheckGeometry() error { return d.sweep().check() }
+
 func (d *DayDuskDetector) sweep() windowSweep {
 	return windowSweep{
 		Cfg: d.HOG, Model: d.Model,
 		WinW: VehicleWindow, WinH: VehicleWindow,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
-		Kind: KindVehicle, NoBlockResponse: d.NoBlockResponse,
-		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
-		Prefilter: d.Prefilter,
+		Kind: KindVehicle, ScanConfig: d.ScanConfig,
 	}
 }
 

@@ -79,23 +79,20 @@ func NMS(dets []Detection, iouThresh float64) []Detection {
 }
 
 // slideWindows scans a w x h window over g with the given stride,
-// invoking score for each position; positions scoring above threshold
-// are returned as detections in g's coordinates.
+// invoking score for each position with g and the window's rectangle;
+// positions scoring above threshold are returned as detections in g's
+// coordinates.
 func slideWindows(g *img.Gray, winW, winH, stride int, threshold float64,
-	score func(*img.Gray) float64, kind Kind) []Detection {
+	score func(g *img.Gray, win img.Rect) float64, kind Kind) []Detection {
 	var dets []Detection
 	if g.W < winW || g.H < winH {
 		return nil
 	}
 	for y := 0; y+winH <= g.H; y += stride {
 		for x := 0; x+winW <= g.W; x += stride {
-			crop := g.SubImage(img.Rect{X0: x, Y0: y, X1: x + winW, Y1: y + winH})
-			if s := score(crop); s > threshold {
-				dets = append(dets, Detection{
-					Box:   img.Rect{X0: x, Y0: y, X1: x + winW, Y1: y + winH},
-					Score: s,
-					Kind:  kind,
-				})
+			win := img.Rect{X0: x, Y0: y, X1: x + winW, Y1: y + winH}
+			if s := score(g, win); s > threshold {
+				dets = append(dets, Detection{Box: win, Score: s, Kind: kind})
 			}
 		}
 	}
@@ -103,9 +100,10 @@ func slideWindows(g *img.Gray, winW, winH, stride int, threshold float64,
 }
 
 // scanPyramid runs slideWindows on every level of an image pyramid and
-// maps detections back to level-0 coordinates.
+// maps detections back to level-0 coordinates: the serial reference
+// every window sweep is tested against.
 func scanPyramid(g *img.Gray, winW, winH, stride int, scale float64, threshold float64,
-	score func(*img.Gray) float64, kind Kind) []Detection {
+	score func(level *img.Gray, win img.Rect) float64, kind Kind) []Detection {
 	levels := img.PyramidGray(g, scale, winW, winH)
 	var all []Detection
 	for _, level := range levels {

@@ -67,9 +67,9 @@ func TestSlideWindowsCoversImage(t *testing.T) {
 	g := img.NewGray(32, 32)
 	g.Fill(100)
 	count := 0
-	slideWindows(g, 16, 16, 8, -1, func(w *img.Gray) float64 {
+	slideWindows(g, 16, 16, 8, -1, func(l *img.Gray, w img.Rect) float64 {
 		count++
-		if w.W != 16 || w.H != 16 {
+		if l != g || w.W() != 16 || w.H() != 16 {
 			t.Fatal("window size wrong")
 		}
 		return -10 // never accept
@@ -82,14 +82,14 @@ func TestSlideWindowsCoversImage(t *testing.T) {
 
 func TestSlideWindowsTooSmallImage(t *testing.T) {
 	g := img.NewGray(8, 8)
-	if got := slideWindows(g, 16, 16, 8, 0, func(*img.Gray) float64 { return 1 }, KindVehicle); got != nil {
+	if got := slideWindows(g, 16, 16, 8, 0, func(*img.Gray, img.Rect) float64 { return 1 }, KindVehicle); got != nil {
 		t.Fatal("windows emitted for too-small image")
 	}
 }
 
 func TestSlideWindowsThreshold(t *testing.T) {
 	g := img.NewGray(32, 32)
-	dets := slideWindows(g, 16, 16, 16, 0.5, func(w *img.Gray) float64 {
+	dets := slideWindows(g, 16, 16, 16, 0.5, func(*img.Gray, img.Rect) float64 {
 		return 1.0
 	}, KindPedestrian)
 	if len(dets) != 4 {
@@ -106,7 +106,7 @@ func TestScanPyramidMapsCoordinates(t *testing.T) {
 	// Score high only at one window on the smallest level; the mapped
 	// box must stay inside the original image.
 	g := img.NewGray(64, 64)
-	dets := scanPyramid(g, 16, 16, 8, 2.0, 0.5, func(w *img.Gray) float64 { return 1 }, KindVehicle)
+	dets := scanPyramid(g, 16, 16, 8, 2.0, 0.5, func(*img.Gray, img.Rect) float64 { return 1 }, KindVehicle)
 	if len(dets) == 0 {
 		t.Fatal("no detections")
 	}

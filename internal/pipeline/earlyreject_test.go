@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -10,15 +11,6 @@ import (
 	"advdet/internal/svm"
 	"advdet/internal/synth"
 )
-
-// applyVariant writes a scanVariant's knobs through the detector
-// field pointers, so one helper serves all three HOG detector types.
-func applyVariant(noBlocks, noEarly, quantized *bool, prefilter **haar.Cascade, v scanVariant) {
-	*noBlocks = v.noBlocks
-	*noEarly = v.noEarly
-	*quantized = v.quantized
-	*prefilter = v.prefilter
-}
 
 // constCascade builds a single-stage stump-free cascade at the given
 // window: its stage score is -bias everywhere, so bias < 0 accepts
@@ -41,22 +33,40 @@ func requireSameDetections(t *testing.T, label string, got, want []Detection) {
 	}
 }
 
-// TestEarlyRejectMatchesFullMargin is the tentpole's exactness gate:
-// for every scan kind and worker count, the early-reject scan must be
-// byte-identical — boxes, kinds, order, and bitwise scores — to the
-// full-margin plane scan. The early exit's surviving windows re-sum
-// their partials in canonical order, so even the float rounding
-// agrees.
+// TestEarlyRejectMatchesFullMargin is the early exit's exactness gate
+// at the sweep level: for every scan kind and worker count, a sweep at
+// its threshold must return exactly the windows a full-margin sweep
+// scores above it — boxes, kinds, order and bitwise scores. The
+// full-margin sweep runs at threshold -Inf, where no bound can reject
+// a window, so every window's score is its full margin.
 func TestEarlyRejectMatchesFullMargin(t *testing.T) {
-	for _, tc := range blockEquivalenceCases(t) {
+	ctx := context.Background()
+	for _, tc := range scanCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.scan(t, tc.frame, 1, scanVariant{noEarly: true})
-			if len(ref) == 0 {
-				t.Fatalf("%s: full-margin scan found nothing; scene too easy to miss a regression", tc.name)
+			full := tc.sweep
+			full.Thresh = math.Inf(-1)
+			st := NewFrameStack()
+			st.Begin(tc.frame)
+			all, err := full.run(ctx, st, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Detection
+			for _, d := range all {
+				if d.Score > tc.sweep.Thresh {
+					want = append(want, d)
+				}
+			}
+			if len(want) == 0 {
+				t.Fatalf("%s: full-margin sweep found nothing; scene too easy to miss a regression", tc.name)
 			}
 			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				got := tc.scan(t, tc.frame, workers, scanVariant{})
-				requireSameDetections(t, tc.name, got, ref)
+				st.Begin(tc.frame)
+				got, err := tc.sweep.run(ctx, st, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameDetections(t, tc.name, got, want)
 			}
 		})
 	}
@@ -67,9 +77,7 @@ func TestEarlyRejectMatchesFullMargin(t *testing.T) {
 // the detections must be byte-identical to the float scan — boxes,
 // kinds, order and bitwise scores. The guard band makes the box set
 // structural, and every window the integer datapath does not reject
-// re-scores in float, so the scores are the float lane's too. The
-// quantized plane path (early exit off) must match the on-demand
-// quantized path exactly.
+// re-scores in float, so the scores are the float lane's too.
 func TestQuantizedBoundedDivergence(t *testing.T) {
 	dayModel := trainSmall(t, synth.DayDataset(700, 64, 64, 50, 50))
 	duskModel := trainSmall(t, synth.DuskDataset(701, 64, 64, 50, 50, 0))
@@ -108,16 +116,6 @@ func TestQuantizedBoundedDivergence(t *testing.T) {
 				t.Fatal("quantized scan fell back to the float lane")
 			}
 			requireSameDetections(t, "quantized vs float", got, ref)
-			// Plane path (early exit off) must agree with the on-demand
-			// quantized path bit for bit: same integer arithmetic, same
-			// borderline fallback.
-			pdet := qdet
-			pdet.NoEarlyReject = true
-			plane, err := pdet.DetectCtx(ctx, sc.g, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameDetections(t, "quantized plane vs on-demand", plane, got)
 		})
 	}
 }
@@ -128,29 +126,18 @@ func TestQuantizedBoundedDivergence(t *testing.T) {
 // trained at a different window geometry must be ignored (scoring it
 // at the scan's window would read the wrong pixels).
 func TestPrefilterGatesWindows(t *testing.T) {
-	for _, tc := range blockEquivalenceCases(t) {
+	for _, tc := range scanCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.scan(t, tc.frame, 1, scanVariant{})
-			winW, winH := 64, 64
-			switch tc.name {
-			case "pedestrian":
-				winW, winH = PedWindowW, PedWindowH
-			case "animal":
-				winW, winH = AnimalWindowW, AnimalWindowH
-			}
-			pass := tc.scan(t, tc.frame, 1, scanVariant{prefilter: constCascade(winW, winH, -1)})
+			ref := tc.scan(t, 1, ScanConfig{})
+			winW, winH := tc.sweep.WinW, tc.sweep.WinH
+			pass := tc.scan(t, 1, ScanConfig{Prefilter: constCascade(winW, winH, -1)})
 			requireSameDetections(t, "accept-all prefilter", pass, ref)
-			none := tc.scan(t, tc.frame, 1, scanVariant{prefilter: constCascade(winW, winH, 1)})
+			none := tc.scan(t, 1, ScanConfig{Prefilter: constCascade(winW, winH, 1)})
 			if len(none) != 0 {
 				t.Fatalf("reject-all prefilter let %d detections through", len(none))
 			}
-			mismatched := tc.scan(t, tc.frame, 1, scanVariant{prefilter: constCascade(winW+8, winH, 1)})
+			mismatched := tc.scan(t, 1, ScanConfig{Prefilter: constCascade(winW+8, winH, 1)})
 			requireSameDetections(t, "geometry-mismatched prefilter", mismatched, ref)
-			// The prefilter must gate the descriptor fallback too.
-			noneDesc := tc.scan(t, tc.frame, 1, scanVariant{noBlocks: true, prefilter: constCascade(winW, winH, 1)})
-			if len(noneDesc) != 0 {
-				t.Fatalf("reject-all prefilter let %d descriptor-path detections through", len(noneDesc))
-			}
 		})
 	}
 }
@@ -239,70 +226,47 @@ func TestReleaseScanScratchClearsResults(t *testing.T) {
 // TestSetLevelsInvalidatesShrunkEntries is the fails-pre-fix
 // regression for the per-level arena seam: a pyramid that shrinks
 // between borrows must not leave levels beyond the new count holding
-// the previous scan's response planes, lattices or anchor widths —
-// state nothing re-derives, which any later read would interpret as
-// current.
+// the previous scan's lattices — state nothing re-derives, which any
+// later read would interpret as current.
 func TestSetLevelsInvalidatesShrunkEntries(t *testing.T) {
 	s := new(scanScratch)
 	s.setLevels(5)
+	lat := svm.Lattice{NAX: 7, NAY: 7, NBX: 9, NBY: 9, StepX: 1, StepY: 1, BlockStride: 1}
 	for i := 0; i < 5; i++ {
-		s.resp[i] = append(s.resp[i][:0], 1, 2, 3)
-		s.qresp[i] = append(s.qresp[i][:0], 5)
-		s.lats[i] = svm.Lattice{NAX: 7, NAY: 7, NBX: 9, NBY: 9, StepX: 1, StepY: 1, BlockStride: 1}
-		s.nax[i] = 7
+		s.lats[i] = lat
 	}
 	s.setLevels(2)
 	for i := 2; i < 5; i++ {
-		if len(s.resp[i]) != 0 || len(s.qresp[i]) != 0 {
-			t.Fatalf("level %d kept stale planes after shrink (resp %d, qresp %d)",
-				i, len(s.resp[i]), len(s.qresp[i]))
-		}
-		if s.lats[i] != (svm.Lattice{}) || s.nax[i] != 0 {
-			t.Fatalf("level %d kept stale lattice %+v / nax %d after shrink", i, s.lats[i], s.nax[i])
+		if s.lats[i] != (svm.Lattice{}) {
+			t.Fatalf("level %d kept stale lattice %+v after shrink", i, s.lats[i])
 		}
 	}
 	for i := 0; i < 2; i++ {
-		if len(s.resp[i]) != 3 || s.nax[i] != 7 {
+		if s.lats[i] != lat {
 			t.Fatalf("level %d lost live state on shrink", i)
 		}
-	}
-	if cap(s.resp[4]) == 0 {
-		t.Fatal("shrink freed a reusable buffer instead of truncating it")
 	}
 }
 
 // TestShrinkThenRescan drives the shrink seams end to end: a large
 // scan grows the pooled arenas, then a smaller frame must still score
-// byte-identically to the descriptor oracle on every scoring path —
-// any stale plane or lattice surviving the shrink shows up here as a
-// phantom or missing detection.
+// the oracle's boxes on both datapaths — any stale lattice surviving
+// the shrink shows up here as a phantom or missing detection.
 func TestShrinkThenRescan(t *testing.T) {
 	det := NewDayDuskDetector(trainSmall(t, synth.DayDataset(820, 64, 64, 40, 40)))
 	det.DetectThresh = -0.25
 	big := scanScene(821, 512, 320)
 	small := scanScene(822, 160, 112)
 	ctx := context.Background()
-	oracle := *det
-	oracle.NoBlockResponse = true
-	for _, v := range []struct {
-		name string
-		set  func(d *DayDuskDetector)
-	}{
-		{"early", func(d *DayDuskDetector) {}},
-		{"full", func(d *DayDuskDetector) { d.NoEarlyReject = true }},
-		{"quantized", func(d *DayDuskDetector) { d.Quantized = true }},
-	} {
-		t.Run(v.name, func(t *testing.T) {
+	want := NMS(hogOracle(det.sweep(), small), det.NMSIoU)
+	for _, lane := range scanLanes[:2] {
+		t.Run(lane.String(), func(t *testing.T) {
 			d := *det
-			v.set(&d)
+			d.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
 			if _, err := d.DetectCtx(ctx, big, 1); err != nil {
 				t.Fatal(err)
 			}
 			got, err := d.DetectCtx(ctx, small, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := oracle.DetectCtx(ctx, small, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,22 +99,41 @@ func TestDetectCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestHogScanFallbackUnalignedStride pins the fallback path: a stride
-// off the cell grid still produces the same detections serially and
-// in parallel.
-func TestHogScanFallbackUnalignedStride(t *testing.T) {
-	det := NewDayDuskDetector(trainSmall(t, synth.DayDataset(98, 64, 64, 40, 40)))
-	det.Stride = 12 // not a multiple of the 8-pixel cell
+// TestScanGeometryErrors: a sweep whose windows cannot be scored from
+// the level block grid is refused with ErrScanGeometry, from DetectCtx
+// and SweepCtx alike and before any frame from CheckGeometry — a
+// stride off the 8-px cell grid, and a model trained for another
+// window. Such scans used to fall back to a slow per-window path.
+func TestScanGeometryErrors(t *testing.T) {
+	model := trainSmall(t, synth.DayDataset(98, 64, 64, 40, 40))
 	g := scanScene(99, 200, 120)
-	ref, err := det.DetectCtx(context.Background(), g, 1)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	unaligned := NewDayDuskDetector(model)
+	unaligned.Stride = 12 // not a multiple of the 8-pixel cell
+	misfit := trainPed(t, 97)
+	misfit.Model = model // a 64x64-window model on the 32x64 pedestrian window
+	for _, c := range []struct {
+		name   string
+		check  func() error
+		detect func() error
+		sweep  func(*FrameStack) error
+	}{
+		{"stride-12", unaligned.CheckGeometry,
+			func() error { _, err := unaligned.DetectCtx(ctx, g, 2); return err },
+			func(st *FrameStack) error { _, err := unaligned.SweepCtx(ctx, st, 2, nil); return err }},
+		{"model-length", misfit.CheckGeometry,
+			func() error { _, err := misfit.DetectCtx(ctx, g, 2); return err },
+			func(st *FrameStack) error { _, err := misfit.SweepCtx(ctx, st, 2, nil); return err }},
+	} {
+		st := NewFrameStack()
+		st.Begin(g)
+		for what, err := range map[string]error{"CheckGeometry": c.check(), "DetectCtx": c.detect(), "SweepCtx": c.sweep(st)} {
+			if !errors.Is(err, ErrScanGeometry) {
+				t.Fatalf("%s: %s error %v, want ErrScanGeometry", c.name, what, err)
+			}
+		}
 	}
-	got, err := det.DetectCtx(context.Background(), g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("unaligned-stride scan differs between serial and parallel")
+	if err := NewDayDuskDetector(model).CheckGeometry(); err != nil {
+		t.Fatalf("shipped vehicle geometry refused: %v", err)
 	}
 }

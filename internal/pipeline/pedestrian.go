@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
@@ -30,22 +29,7 @@ type PedestrianDetector struct {
 	// scanning (see DayDuskDetector.DetectThresh).
 	DetectThresh float64
 	NMSIoU       float64
-	// NoBlockResponse disables the block-response scoring engine
-	// (see DayDuskDetector.NoBlockResponse).
-	NoBlockResponse bool
-	// NoEarlyReject disables the partial-margin early exit
-	// (see DayDuskDetector.NoEarlyReject).
-	NoEarlyReject bool
-	// Quantized scores windows in the fixed-point datapath
-	// (see DayDuskDetector.Quantized).
-	Quantized bool
-	// Prefilter integral-image-rejects scan windows before HOG scoring
-	// when trained at this detector's window geometry
-	// (see DayDuskDetector.Prefilter).
-	Prefilter *haar.Cascade
-	// Temporal reuses the feature/block/response stack across frames
-	// (see DayDuskDetector.Temporal).
-	Temporal *TemporalCache
+	ScanConfig
 }
 
 // NewPedestrianDetector wraps a trained model with default scan
@@ -79,7 +63,8 @@ func (d *PedestrianDetector) Detect(g *img.Gray) []Detection {
 
 // DetectCtx is Detect with cancellation and a bounded worker pool
 // sharing one per-level feature cache (workers <= 0 means NumCPU).
-// Output is identical for every worker count.
+// Output is identical for every worker count. Errors are
+// DayDuskDetector.DetectCtx's.
 func (d *PedestrianDetector) DetectCtx(ctx context.Context, g *img.Gray, workers int) ([]Detection, error) {
 	return d.DetectTimedCtx(ctx, g, workers, nil)
 }
@@ -101,14 +86,16 @@ func (d *PedestrianDetector) SweepCtx(ctx context.Context, st *FrameStack, worke
 	return d.sweep().detect(ctx, st, workers, tm, d.NMSIoU, "pedestrian")
 }
 
+// CheckGeometry is DayDuskDetector.CheckGeometry for the pedestrian
+// sweep.
+func (d *PedestrianDetector) CheckGeometry() error { return d.sweep().check() }
+
 func (d *PedestrianDetector) sweep() windowSweep {
 	return windowSweep{
 		Cfg: d.HOG, Model: d.Model,
 		WinW: PedWindowW, WinH: PedWindowH,
 		Stride: d.Stride, Scale: d.Scale, Thresh: d.DetectThresh,
-		Kind: KindPedestrian, NoBlockResponse: d.NoBlockResponse,
-		NoEarlyReject: d.NoEarlyReject, Quantized: d.Quantized,
-		Prefilter: d.Prefilter,
+		Kind: KindPedestrian, ScanConfig: d.ScanConfig,
 	}
 }
 

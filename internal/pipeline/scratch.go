@@ -9,9 +9,8 @@ import (
 
 // scanScratch owns every reusable buffer of one windowSweep.run
 // invocation that is not part of the frame stack: the block models,
-// response planes (float and quantized), anchor lattices, the
-// task/result arenas and the window-row workers' scratch. A scratch
-// is borrowed from a process-wide pool for the duration of one sweep
+// anchor lattices, the task/result arenas and the window-row workers'
+// scratch. A scratch is borrowed from a process-wide pool for the duration of one sweep
 // and returned afterwards, so the steady-state frame loop recomputes
 // everything per frame but allocates (almost) nothing — the software
 // equivalent of the PL's statically provisioned window-evaluator
@@ -22,10 +21,7 @@ import (
 type scanScratch struct {
 	bm      svm.BlockModel
 	qbm     svm.QuantBlockModel
-	resp    [][]float64   // per-level float response planes; len 0 = not precomputed
-	qresp   [][]int32     // per-level quantized response planes; len 0 = on-demand
-	lats    []svm.Lattice // per-level anchor lattices (valid when nax > 0)
-	nax     []int         // per-level anchor-lattice width; 0 = descriptor path
+	lats    []svm.Lattice // per-level anchor lattices
 	tasks   []rowTask
 	results [][]Detection
 	rows    []*rowScratch // one per window-row worker
@@ -59,34 +55,15 @@ func releaseScanScratch(s *scanScratch) {
 	scanPool.Put(s) // lint:alloc sync.Pool.Put boxes once per scan, not per window
 }
 
-// setLevels grows the per-level arenas to hold n levels, preserving
-// existing entries (and their buffers) for reuse, and invalidates the
-// per-level sweep state of every entry beyond n. A pyramid that
-// shrinks between borrows (smaller frame, larger MinSize) leaves
-// entries [n, high-water) holding the previous sweep's response planes
-// and lattices; nothing re-derives them, so any later read of an
-// entry the current sweep didn't fill must see "no data" rather than a
-// stale plane. Buffers are kept (truncated, not freed) so a regrow
-// reuses them.
+// setLevels grows the per-level lattice arena to hold n levels and
+// clears every entry beyond n: a pyramid that shrinks between borrows
+// (smaller frame, larger MinSize) must not leave the previous sweep's
+// lattices looking current to a later reader.
 func (s *scanScratch) setLevels(n int) {
-	for len(s.resp) < n {
-		s.resp = append(s.resp, nil)
-	}
-	for len(s.qresp) < n {
-		s.qresp = append(s.qresp, nil)
-	}
 	for len(s.lats) < n {
 		s.lats = append(s.lats, svm.Lattice{})
 	}
-	for len(s.nax) < n {
-		s.nax = append(s.nax, 0)
-	}
-	for i := n; i < len(s.nax); i++ {
-		s.resp[i] = s.resp[i][:0]
-		s.qresp[i] = s.qresp[i][:0]
-		s.lats[i] = svm.Lattice{}
-		s.nax[i] = 0
-	}
+	clear(s.lats[n:])
 }
 
 // beginWorkers readies one row scratch per window-row worker of the
@@ -117,21 +94,4 @@ func (s *scanScratch) setTasks(n int) ([]rowTask, [][]Detection) {
 	}
 	s.results = s.results[:n]
 	return s.tasks, s.results
-}
-
-// growF64 returns buf resized to n floats, reusing its backing array
-// when possible. Contents are unspecified; callers overwrite fully.
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// growI32 is growF64 for int32 planes.
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
 }

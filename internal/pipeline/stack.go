@@ -25,10 +25,11 @@ import (
 // The stack is built lazily. Begin (or BeginRGB) opens a frame; each
 // sweep then brings the stack up to what its window needs: the levels
 // its window fits (so the pyramid is the union over the frame's
-// sweeps), and block grids, quantized planes or integrals only where
-// the sweep reads them. A product already made this frame is never
-// recomputed. The first sweep fixes the frame's HOG configuration and
-// pyramid scale; a later sweep with a different front end is an error.
+// sweeps) with their feature maps and block grids, and quantized
+// planes or integrals only where the sweep reads them. A product
+// already made this frame is never recomputed. The first sweep fixes
+// the frame's HOG configuration and pyramid scale; a later sweep with
+// a different front end is an error.
 //
 // With a TemporalCache attached (TemporalCache.Stack), products also
 // carry across frames and a frame recomputes only what its dirty tiles
@@ -62,7 +63,7 @@ type FrameStack struct {
 	// made at (0 = never).
 	featGen, gridGen, qGen, itGen []uint64
 	// gmode is the refresh a level's block grid got this frame (full,
-	// partial or clean); the sweeps' response planes follow it.
+	// partial or clean); the quantized plane follows it.
 	gmode []int
 	hs    hog.Scratch
 
@@ -117,7 +118,8 @@ const grayBandPixels = 1 << 18
 // and that gray image is returned (valid until the next BeginRGB).
 // Large frames convert in row bands across up to workers goroutines
 // (workers <= 0 means NumCPU); every pixel is a function of its own
-// RGB triple, so the image is the same for any band split.
+// RGB triple, so the image is the same for any band split. frame must
+// be well formed (see CheckFrame).
 func (st *FrameStack) BeginRGB(frame *img.RGB, workers int) *img.Gray {
 	g := img.GrayInto(st.gray, frame.W, frame.H)
 	st.gray = g
@@ -189,8 +191,7 @@ type stackNeeds struct {
 	cfg        hog.Config
 	scale      float64
 	winW, winH int
-	blocks     bool // block grids (block-response path)
-	quant      bool // Q1.14 block planes (quantized lane)
+	quant      bool // Q1.14 block planes (quantized datapath)
 	integral   bool // haar integral images (prefilter)
 }
 
@@ -289,7 +290,7 @@ func (st *FrameStack) ensure(ctx context.Context, workers int, need stackNeeds) 
 			st.itGen[i] = st.gen
 			lap(&st.tm.Prefilter)
 		}
-		if need.blocks && st.gridGen[i] != st.gen {
+		if st.gridGen[i] != st.gen {
 			bg := st.grids[i]
 			mode := tcFull
 			if st.tc != nil && st.prev(st.gridGen[i]) {

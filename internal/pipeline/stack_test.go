@@ -23,8 +23,8 @@ func edgeCascade(winW, winH int) *haar.Cascade {
 // acceptance gate: a vehicle sweep and a pedestrian sweep over one
 // frame stack must be byte-identical to two independent DetectCtx
 // calls, over frame sizes (1080p, 360p, an odd size, and a portrait
-// frame whose two pyramids differ), scoring lanes, the haar prefilter
-// on and off, worker counts, and a cold or temporal stack. The frame
+// frame whose two pyramids differ), every scan lane (scanLanes), worker
+// counts, and a cold or temporal stack. The frame
 // sequence runs cold, warm-unchanged and partially dirty frames, then
 // a day→dusk→day model select over fresh dirt: the stack's tiles stay
 // warm across the select while no sweep may be served rows the other
@@ -33,8 +33,6 @@ func TestSharedStackMatchesIndependentScans(t *testing.T) {
 	day := trainSmall(t, synth.DayDataset(760, 64, 64, 50, 50))
 	dusk := trainSmall(t, synth.DuskDataset(761, 64, 64, 50, 50, 0))
 	pedBase := trainPed(t, 762)
-	type lane struct{ quant, haar bool }
-	all := []lane{{false, false}, {false, true}, {true, false}, {true, true}}
 	// 1080p is the paper's frame size but costs a second per pass, so
 	// it runs the two extreme lanes at one worker count; the smaller
 	// frames cover the full cross product.
@@ -42,12 +40,12 @@ func TestSharedStackMatchesIndependentScans(t *testing.T) {
 		name    string
 		w, h    int
 		workers []int
-		lanes   []lane
+		lanes   []scanLane
 	}{
-		{"1080p", 1920, 1080, []int{runtime.NumCPU()}, []lane{{false, false}, {true, true}}},
-		{"360p", 640, 360, []int{1, 2, runtime.NumCPU()}, all},
-		{"odd", 333, 211, []int{1, 2, runtime.NumCPU()}, all},
-		{"portrait", 200, 360, []int{1, 2, runtime.NumCPU()}, all},
+		{"1080p", 1920, 1080, []int{runtime.NumCPU()}, []scanLane{scanLanes[0], scanLanes[3]}},
+		{"360p", 640, 360, []int{1, 2, runtime.NumCPU()}, scanLanes},
+		{"odd", 333, 211, []int{1, 2, runtime.NumCPU()}, scanLanes},
+		{"portrait", 200, 360, []int{1, 2, runtime.NumCPU()}, scanLanes},
 	}
 	if testing.Short() || raceEnabled {
 		sizes = sizes[1:]
@@ -82,28 +80,16 @@ func TestSharedStackMatchesIndependentScans(t *testing.T) {
 			{"select-day", f3, day, true},
 		}
 		for _, lane := range size.lanes {
-			name := size.name + "/float"
-			if lane.quant {
-				name = size.name + "/quantized"
-			}
-			if lane.haar {
-				name += "/haar"
-			}
+			name := size.name + "/" + lane.String()
 			vehicle := func(m *svm.Model) *DayDuskDetector {
 				d := NewDayDuskDetector(m)
 				d.DetectThresh = -0.25 // loosen so every frame yields detections
-				d.Quantized = lane.quant
-				if lane.haar {
-					d.Prefilter = edgeCascade(VehicleWindow, VehicleWindow)
-				}
+				d.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
 				return d
 			}
 			ped := *pedBase
 			ped.DetectThresh = -0.25
-			ped.Quantized = lane.quant
-			if lane.haar {
-				ped.Prefilter = edgeCascade(PedWindowW, PedWindowH)
-			}
+			ped.ScanConfig = lane.config(PedWindowW, PedWindowH)
 			wantV := make([][]Detection, len(seq))
 			wantP := make([][]Detection, len(seq))
 			for i, f := range seq {

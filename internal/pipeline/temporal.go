@@ -12,21 +12,21 @@ import (
 // only recomputes what the camera changed. Each pyramid level is split
 // into cell-aligned tiles (hog.TileMap), fingerprinted per frame, and
 // the dirty tiles are dilated outward — one-cell halo to cells, block
-// span to blocks, window span to anchors — so every refreshed value
-// sees exactly the inputs a cold build would read, making cached output
-// byte-identical to a full recompute (up to 64-bit fingerprint
-// collisions; see hog.TileMap). The full-rescan path is always kept:
-// any configuration or geometry change falls back to a cold build of
-// the affected state.
+// span to blocks, window span to window rows and windows — so every
+// value reused or refreshed sees exactly the inputs a cold build would
+// read, making cached output byte-identical to a full recompute (up to
+// 64-bit fingerprint collisions; see hog.TileMap). The full-rescan
+// path is always kept: any configuration or geometry change falls back
+// to a cold build of the affected state.
 //
 // The cache has two parts. The stack part — tile fingerprints, the
 // per-level refresh modes, dirty-cell prefixes and dirty-block masks —
 // belongs to the FrameStack it owns (Stack) and is shared by every
 // sweep over it; the stack's feature maps, block grids and quantized
 // planes persist with it. The sweep part is keyed by the sweep (model,
-// window, stride, threshold, lane): each sweep keeps its own window-row
-// detections and response planes, valid only when that same sweep ran
-// on the previous frame. A day/dusk model select therefore keeps the
+// window, stride, threshold, datapath): each sweep keeps its own
+// window-row detections, valid only when that same sweep ran on the
+// previous frame. A day/dusk model select therefore keeps the
 // stack warm while never serving one model's rows to another.
 //
 // A cache binds its stack to one frame sequence and must never be
@@ -59,19 +59,14 @@ type TemporalCache struct {
 }
 
 // sweepPart is one sweep's cross-frame state: its stage-3 window-row
-// detections (one slice per row task; the task list is a pure function
-// of the signature, so the task index is stable across frames) and, on
-// the plane lanes, its per-level response planes.
+// detections, one slice per row task (the task list is a pure function
+// of the signature, so the task index is stable across frames).
 type sweepPart struct {
 	sig sweepSig
-	// gen is the stack generation of the frame the rows and planes
-	// were computed on (0 = none).
-	gen      uint64
-	rowDets  [][]Detection
-	resp     [][]float64
-	qresp    [][]int32
-	anchMask []bool
-	prefix   []int32 // integral image over a block mask for anchor queries
+	// gen is the stack generation of the frame the rows were computed
+	// on (0 = none).
+	gen     uint64
+	rowDets [][]Detection
 }
 
 // maxSweepParts bounds the sweep parts one cache keeps: a System runs
@@ -112,14 +107,13 @@ type stackSig struct {
 	w, h  int
 }
 
-// sweepSig keys a sweep part: any field changing means cached rows or
-// planes may describe a different window lattice or model.
+// sweepSig keys a sweep part: any field changing means cached rows
+// may describe a different window lattice or model.
 type sweepSig struct {
 	model              *svm.Model
 	cfg                hog.Config
 	winW, winH, stride int
 	scale, thresh      float64
-	noBlock, noEarly   bool
 	quant              bool
 	pref               *haar.Cascade
 	w, h               int
@@ -128,7 +122,7 @@ type sweepSig struct {
 // Per-level refresh modes derived from the tile fingerprints.
 const (
 	tcFull    = iota // recompute the level's whole stack
-	tcPartial        // refresh only dirty cells/blocks/anchors
+	tcPartial        // refresh only dirty cells and blocks
 	tcClean          // reuse everything; nothing changed
 )
 
@@ -152,7 +146,7 @@ func (tc *TemporalCache) Stats() TemporalStats { return tc.stats }
 func (tc *TemporalCache) FrameStats() TemporalStats { return tc.frame }
 
 // Invalidate discards every fingerprint: the next frame builds cold,
-// and no sweep reuses rows or planes across it. Callers invalidate on
+// and no sweep reuses rows across it. Callers invalidate on
 // reconfiguration and on any out-of-band reason to distrust
 // cross-frame continuity; configuration and geometry changes are
 // detected automatically.
@@ -190,18 +184,8 @@ func (tc *TemporalCache) part(sig sweepSig) *sweepPart {
 		lru = new(sweepPart) // lint:alloc once per sweep signature
 		tc.sweeps = append(tc.sweeps, lru)
 	}
-	*lru = sweepPart{sig: sig, rowDets: lru.rowDets[:0], resp: lru.resp, qresp: lru.qresp,
-		anchMask: lru.anchMask, prefix: lru.prefix}
+	*lru = sweepPart{sig: sig, rowDets: lru.rowDets[:0]}
 	return lru
-}
-
-// setLevels sizes the part's plane arenas for n levels; a fresh part
-// holds no planes, so every level starts empty.
-func (p *sweepPart) setLevels(n int) {
-	for len(p.resp) < n {
-		p.resp = append(p.resp, nil)
-		p.qresp = append(p.qresp, nil)
-	}
 }
 
 // observe fingerprints level i and derives its refresh mode. prev
@@ -311,78 +295,25 @@ func (tc *TemporalCache) observeTiles(i int, level *img.Gray, c hog.Config) int 
 	return tcPartial
 }
 
-// dirtyAnchors dilates a level's dirty-block mask to the lattice's
-// anchor mask, left in p.anchMask[:NAX*NAY]: an anchor is dirty when
-// the block rectangle its window spans contains any dirty block (a
-// conservative rectangle for strided block layouts). Answered with an
-// integral image over the block mask so the pass is linear in anchors.
-func (sp *sweepPart) dirtyAnchors(blockMask []bool, lat svm.Lattice, bw, bh int) int {
-	nbx, nby := lat.NBX, lat.NBY
-	sp.prefix = growI32(sp.prefix, (nbx+1)*(nby+1))
-	p := sp.prefix[:(nbx+1)*(nby+1)]
-	for x := 0; x <= nbx; x++ {
-		p[x] = 0
-	}
-	for y := 0; y < nby; y++ {
-		rowSum := int32(0)
-		src := blockMask[y*nbx : (y+1)*nbx]
-		dst := p[(y+1)*(nbx+1):]
-		prev := p[y*(nbx+1):]
-		dst[0] = 0
-		for x := 0; x < nbx; x++ {
-			if src[x] {
-				rowSum++
-			}
-			dst[x+1] = prev[x+1] + rowSum
-		}
-	}
-	spanX := (bw-1)*lat.BlockStride + 1
-	spanY := (bh-1)*lat.BlockStride + 1
-	sp.anchMask = growBool(sp.anchMask, lat.NAX*lat.NAY)
-	n := 0
-	for ay := 0; ay < lat.NAY; ay++ {
-		y0 := ay * lat.StepY
-		y1 := y0 + spanY
-		row := sp.anchMask[ay*lat.NAX : (ay+1)*lat.NAX]
-		top := p[y0*(nbx+1):]
-		bot := p[y1*(nbx+1):]
-		for ax := 0; ax < lat.NAX; ax++ {
-			x0 := ax * lat.StepX
-			x1 := x0 + spanX
-			d := bot[x1]-bot[x0]-top[x1]+top[x0] > 0
-			row[ax] = d
-			if d {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // rowServable reports whether one window row's cached detections are
 // bitwise current. The row is servable when its level is wholly clean,
 // or when none of the cell rows its windows read is dirty this frame —
 // the larger of the block span (block row b reads cell rows [b,
-// b+BlockCells)) and the raw pixel span (descriptor fallback and haar
-// prefilter both read window pixels, whose dirt the tile-to-cell halo
-// maps onto the covering cell rows). Row granularity is conservative —
+// b+BlockCells)) and the raw pixel span (the haar prefilter reads
+// window pixels, whose dirt the tile-to-cell halo maps onto the
+// covering cell rows). Row granularity is conservative —
 // the whole cell-row band must be clean, not just the window's columns
 // — an O(1) prefix query; stage 3 falls back to per-window queries
 // when the band is dirty but individual windows sit clear of it.
 //
 // lint:hotpath
-func (tc *TemporalCache) rowServable(c hog.Config, level, y, winH int, blockPath bool, bh int) bool {
+func (tc *TemporalCache) rowServable(c hog.Config, level, y, winH, bh int) bool {
 	switch tc.mode[level] {
 	case tcClean:
 		return true
 	case tcPartial:
 		cy0 := y / c.CellSize
-		cy1 := (y + winH + c.CellSize - 1) / c.CellSize
-		if blockPath {
-			if b := cy0 + (bh-1)*c.BlockStride + c.BlockCells; b > cy1 {
-				cy1 = b
-			}
-		}
+		cy1 := max((y+winH+c.CellSize-1)/c.CellSize, cy0+(bh-1)*c.BlockStride+c.BlockCells)
 		return tc.cellRectClean(level, 0, cy0, tc.cw[level], cy1)
 	default:
 		return false
@@ -423,6 +354,15 @@ func requantDirtyBlocks(q []int16, data []float64, blockLen int, dirty []bool) {
 func growBool(buf []bool, n int) []bool {
 	if cap(buf) < n {
 		return make([]bool, n) // lint:alloc grows once to the largest level, then reused across frames
+	}
+	return buf[:n]
+}
+
+// growI32 returns buf resized to n entries, reusing its backing
+// array when possible. Contents are unspecified; callers overwrite.
+func growI32(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
 	}
 	return buf[:n]
 }

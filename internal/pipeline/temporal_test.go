@@ -9,19 +9,6 @@ import (
 	"advdet/internal/synth"
 )
 
-// tcScanKinds are the four scoring strategies the temporal cache must
-// compose with, byte for byte.
-var tcScanKinds = []struct {
-	name string
-	set  func(d *DayDuskDetector)
-}{
-	{"early", func(d *DayDuskDetector) {}},
-	{"full-margin", func(d *DayDuskDetector) { d.NoEarlyReject = true }},
-	{"quantized", func(d *DayDuskDetector) { d.Quantized = true }},
-	{"quantized-plane", func(d *DayDuskDetector) { d.Quantized = true; d.NoEarlyReject = true }},
-	{"descriptor", func(d *DayDuskDetector) { d.NoBlockResponse = true }},
-}
-
 // mutateRect perturbs the pixels of r in place, deterministically from
 // seed, so warm scans see a realistic partial-dirty frame.
 func mutateRect(g *img.Gray, r img.Rect, seed uint64) {
@@ -34,8 +21,8 @@ func mutateRect(g *img.Gray, r img.Rect, seed uint64) {
 	}
 }
 
-// TestTemporalCacheByteIdentical is the tentpole's acceptance gate:
-// for every scoring strategy and worker count, a cached scan of a cold
+// TestTemporalCacheByteIdentical is the temporal cache's acceptance
+// gate: for every scan lane and worker count, a cached scan of a cold
 // frame, an unchanged warm frame, and a partially dirty warm frame
 // produces exactly the detections of a cache-off scan of the same
 // pixels.
@@ -51,11 +38,11 @@ func TestTemporalCacheByteIdentical(t *testing.T) {
 	}{{"cold", cold}, {"warm-unchanged", warm}, {"warm-partial-dirty", dirty}}
 
 	ctx := context.Background()
-	for _, kind := range tcScanKinds {
-		t.Run(kind.name, func(t *testing.T) {
+	for _, lane := range scanLanes {
+		t.Run(lane.String(), func(t *testing.T) {
 			ref := NewDayDuskDetector(model)
 			ref.DetectThresh = -0.25 // loosen so the scene yields detections to compare
-			kind.set(ref)
+			ref.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
 			want := make([][]Detection, len(frames))
 			for i, f := range frames {
 				dets, err := ref.DetectCtx(ctx, f.frame, 1)
@@ -70,14 +57,14 @@ func TestTemporalCacheByteIdentical(t *testing.T) {
 			for _, workers := range []int{1, 2, runtime.NumCPU()} {
 				det := NewDayDuskDetector(model)
 				det.DetectThresh = -0.25
-				kind.set(det)
+				det.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
 				det.Temporal = NewTemporalCache()
 				for i, f := range frames {
 					dets, err := det.DetectCtx(ctx, f.frame, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					requireSameDetections(t, kind.name+"/"+f.name, dets, want[i])
+					requireSameDetections(t, lane.String()+"/"+f.name, dets, want[i])
 				}
 				// The warm-unchanged frame must have been served from
 				// the cache, not silently rescanned.
@@ -135,7 +122,7 @@ func TestTemporalCacheShrinkInvalidates(t *testing.T) {
 // TestTemporalCacheRandomGeometries is the randomized property test:
 // across 200 pyramid geometries and random dirty rectangles, a cached
 // warm scan is byte-identical to a cache-off scan of the same pixels,
-// under every scoring strategy in rotation.
+// under every scan lane in rotation.
 func TestTemporalCacheRandomGeometries(t *testing.T) {
 	model := trainSmall(t, synth.DayDataset(760, 64, 64, 40, 40))
 	ctx := context.Background()
@@ -143,13 +130,13 @@ func TestTemporalCacheRandomGeometries(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		w := 96 + rng.Intn(160)
 		h := 80 + rng.Intn(120)
-		kind := tcScanKinds[i%len(tcScanKinds)]
+		lane := scanLanes[i%len(scanLanes)]
 		base := scanScene(uint64(762+i), w, h)
 
 		ref := NewDayDuskDetector(model)
-		kind.set(ref)
+		ref.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
 		det := NewDayDuskDetector(model)
-		kind.set(det)
+		det.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
 		det.Temporal = NewTemporalCache()
 
 		// Cold frame, then 1-2 warm frames with random dirty rects
@@ -168,11 +155,11 @@ func TestTemporalCacheRandomGeometries(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("geometry %d (%dx%d %s) frame %d: %d detections, want %d", i, w, h, kind.name, frame, len(got), len(want))
+				t.Fatalf("geometry %d (%dx%d %s) frame %d: %d detections, want %d", i, w, h, lane, frame, len(got), len(want))
 			}
 			for j := range want {
 				if got[j] != want[j] {
-					t.Fatalf("geometry %d (%dx%d %s) frame %d: detection %d = %+v, want %+v", i, w, h, kind.name, frame, j, got[j], want[j])
+					t.Fatalf("geometry %d (%dx%d %s) frame %d: detection %d = %+v, want %+v", i, w, h, lane, frame, j, got[j], want[j])
 				}
 			}
 		}

@@ -5,18 +5,14 @@
 //	Margin(x) = Bias + sum_p dot(block_p(x), W_p)
 //
 // where W_p is the slice of W belonging to window-relative block
-// position p. Because neighboring windows share normalized blocks, the
-// per-block partial responses can be computed over a whole pyramid
-// level once and every window's margin collapses to a bias plus bw*bh
-// cached reads — no per-window descriptor is ever materialized.
+// position p. Neighboring windows share normalized blocks, so every
+// window is scored straight from one per-level grid of blocks — no
+// per-window descriptor is ever materialized.
 package svm
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"advdet/internal/par"
 )
 
 // BlockModel is a trained linear Model reshaped for block-response
@@ -184,18 +180,6 @@ type Lattice struct {
 	BlockStride  int // window-relative block step in cells (hog Config.BlockStride)
 }
 
-// validate checks that every block the response pass will read lies
-// inside the grid and that the response buffer covers the lattice.
-func (l Lattice) validate(bm *BlockModel, blocks, dst int) error {
-	if err := bm.CheckLattice(l, blocks); err != nil {
-		return err
-	}
-	if need := l.NAX * l.NAY * bm.BW * bm.BH; dst < need {
-		return fmt.Errorf("svm: response buffer holds %d floats, lattice needs %d", dst, need) // lint:alloc cold validation error path, runs once per reshape not per window
-	}
-	return nil
-}
-
 // CheckLattice verifies once per level that every block any window of
 // the lattice will read lies inside a block grid of blocksLen floats,
 // so the per-window scorers (EarlyMarginAt, WindowMargin) can skip
@@ -224,122 +208,13 @@ func checkLattice(l Lattice, bw, bh, blockLen, blocksLen int) error {
 	return nil
 }
 
-// Responses precomputes the level's response planes: for every anchor
-// (ax, ay) of the lattice and every window-relative block position
-// p = pby*BW+pbx,
-//
-//	dst[(ay*NAX+ax)*BW*BH + p] =
-//	    dot(block(ax*StepX+pbx*BlockStride, ay*StepY+pby*BlockStride), W_p)
-//
-// over the flat block-major grid data (hog.BlockGrid.Data layout).
-// The BW*BH planes are stored interleaved (anchor-major) so one
-// window's partials are contiguous and MarginAt folds them with a
-// single linear pass; for a stride of one cell the plane of position p
-// is exactly R_p[cellX, cellY]. Anchor rows are fanned out across
-// workers goroutines (workers <= 0 means NumCPU); every entry is a
-// pure function of the shared read-only inputs, so the result is
-// bitwise identical for every worker count. On cancellation dst is
-// partial and must be discarded.
-//
-// lint:hotpath
-func (bm *BlockModel) Responses(ctx context.Context, workers int, blocks []float64, lat Lattice, dst []float64) error {
-	if err := lat.validate(bm, len(blocks), len(dst)); err != nil {
-		return err
-	}
-	perWin := bm.BW * bm.BH
-	return par.ForEach(ctx, workers, lat.NAY, func(ay int) {
-		base := ay * lat.NAX * perWin
-		for ax := 0; ax < lat.NAX; ax++ {
-			out := dst[base+ax*perWin:][:perWin]
-			p := 0
-			for pby := 0; pby < bm.BH; pby++ {
-				cy := ay*lat.StepY + pby*lat.BlockStride
-				for pbx := 0; pbx < bm.BW; pbx++ {
-					cx := ax*lat.StepX + pbx*lat.BlockStride
-					blk := blocks[(cy*lat.NBX+cx)*bm.BlockLen:][:bm.BlockLen]
-					w := bm.w[p*bm.BlockLen:][:bm.BlockLen]
-					var s float64
-					for i, v := range blk {
-						s += w[i] * v
-					}
-					out[p] = s
-					p++
-				}
-			}
-		}
-	})
-}
-
-// ResponsesDirty refreshes only the anchors marked in dirty (an
-// NAX*NAY row-major mask) of a response plane previously filled by
-// Responses over the same lattice, leaving every other anchor's
-// partials untouched. An anchor's partials are pure functions of its
-// own blocks, computed here with the identical inner loop and
-// accumulation order, so a refreshed plane is bitwise identical to a
-// full recompute whenever the caller guarantees that clean anchors'
-// blocks are unchanged — the temporal scan cache derives that mask by
-// dilating dirty blocks over the window span. Fanned out and
-// deterministic exactly like Responses.
-//
-// lint:hotpath
-func (bm *BlockModel) ResponsesDirty(ctx context.Context, workers int, blocks []float64, lat Lattice, dst []float64, dirty []bool) error {
-	if err := lat.validate(bm, len(blocks), len(dst)); err != nil {
-		return err
-	}
-	if len(dirty) != lat.NAX*lat.NAY {
-		return fmt.Errorf("svm: dirty mask holds %d anchors, lattice has %dx%d", len(dirty), lat.NAX, lat.NAY) // lint:alloc cold validation error path, runs once per reshape not per window
-	}
-	perWin := bm.BW * bm.BH
-	return par.ForEach(ctx, workers, lat.NAY, func(ay int) {
-		base := ay * lat.NAX * perWin
-		drow := dirty[ay*lat.NAX : (ay+1)*lat.NAX]
-		for ax := 0; ax < lat.NAX; ax++ {
-			if !drow[ax] {
-				continue
-			}
-			out := dst[base+ax*perWin:][:perWin]
-			p := 0
-			for pby := 0; pby < bm.BH; pby++ {
-				cy := ay*lat.StepY + pby*lat.BlockStride
-				for pbx := 0; pbx < bm.BW; pbx++ {
-					cx := ax*lat.StepX + pbx*lat.BlockStride
-					blk := blocks[(cy*lat.NBX+cx)*bm.BlockLen:][:bm.BlockLen]
-					w := bm.w[p*bm.BlockLen:][:bm.BlockLen]
-					var s float64
-					for i, v := range blk {
-						s += w[i] * v
-					}
-					out[p] = s
-					p++
-				}
-			}
-		}
-	})
-}
-
-// MarginAt returns the full window margin at anchor (ax, ay) of a
-// NAX-wide lattice from a response buffer filled by Responses: the
-// bias plus the window's BW*BH cached partials. The partial sums are
-// added block-wise where Model.Margin accumulates one running dot
-// product, so margins agree to floating-point reassociation (callers
-// should demand ~1e-9 relative), while threshold decisions agree
-// everywhere outside that band.
-func (bm *BlockModel) MarginAt(resp []float64, nax, ax, ay int) float64 {
-	perWin := bm.BW * bm.BH
-	row := resp[(ay*nax+ax)*perWin:][:perWin]
-	s := bm.Bias
-	for _, v := range row {
-		s += v
-	}
-	return s
-}
-
 // WindowMargin computes the full margin of the window at anchor
-// (ax, ay) directly from the level block grid, without a precomputed
-// response plane: each partial response uses the same inner dot loop
-// as Responses and the partials are summed in canonical position
-// order, so the result is bitwise identical to Responses + MarginAt.
-// The caller must have validated lat with CheckLattice.
+// (ax, ay) directly from the level block grid: one dot product per
+// window-relative block position, the partials summed in canonical
+// position order. It adds block-wise where Model.Margin over the
+// window's descriptor accumulates one running dot product, so the two
+// agree to floating-point reassociation (~1e-9 relative). The caller
+// must have validated lat with CheckLattice.
 //
 // lint:hotpath
 func (bm *BlockModel) WindowMargin(blocks []float64, lat Lattice, ax, ay int) float64 {
@@ -373,8 +248,7 @@ func (bm *BlockModel) WindowMargin(blocks []float64, lat Lattice, ax, ay int) fl
 // <= 1, so no evaluation order can lift the margin past the bound —
 // and a window that survives all positions re-sums its stashed
 // partials in canonical position order, making the returned margin
-// bitwise identical to the full WindowMargin / Responses + MarginAt
-// value. Detection sets therefore match the full sweep byte for byte.
+// bitwise identical to WindowMargin. Detection sets therefore match the full sweep byte for byte.
 //
 // partial is caller scratch of at least BW*BH floats (one slot per
 // block position). The second return is true when the window was
@@ -403,7 +277,7 @@ func (bm *BlockModel) EarlyMarginAt(blocks []float64, lat Lattice, ax, ay int, t
 		}
 	}
 	// Canonical re-sum: same partials, index order — bitwise equal to
-	// MarginAt over a precomputed plane.
+	// WindowMargin.
 	m := bm.Bias
 	for _, d := range partial[:len(bm.order)] {
 		m += d

@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"context"
 	"math"
 	"testing"
 )
@@ -44,12 +43,11 @@ func relDiff(a, b float64) float64 {
 
 // TestBlockModelMarginMatchesModel is the core factoring property: on
 // a trivial one-anchor lattice whose block grid is exactly one window
-// (stride = block stride), MarginAt over Responses must equal
-// Model.Margin of the concatenated blocks within float reassociation
-// (1e-9 relative), across randomized geometries and seeds.
+// (stride = block stride), WindowMargin must equal Model.Margin of the
+// concatenated blocks within float reassociation (1e-9 relative),
+// across randomized geometries and seeds.
 func TestBlockModelMarginMatchesModel(t *testing.T) {
 	rng := splitmix64(42)
-	ctx := context.Background()
 	for trial := 0; trial < 50; trial++ {
 		bw := 1 + int(rng.next()%5)
 		bh := 1 + int(rng.next()%5)
@@ -64,14 +62,13 @@ func TestBlockModelMarginMatchesModel(t *testing.T) {
 		// the grid is exactly one window.
 		desc := rng.fill(bw * bh * blockLen)
 		lat := Lattice{NBX: bw, NBY: bh, StepX: 1, StepY: 1, NAX: 1, NAY: 1, BlockStride: 1}
-		resp := make([]float64, bw*bh)
-		if err := bm.Responses(ctx, 1, desc, lat, resp); err != nil {
+		if err := bm.CheckLattice(lat, len(desc)); err != nil {
 			t.Fatal(err)
 		}
-		got := bm.MarginAt(resp, 1, 0, 0)
+		got := bm.WindowMargin(desc, lat, 0, 0)
 		want := m.Margin(desc)
 		if rd := relDiff(got, want); rd > 1e-9 {
-			t.Fatalf("trial %d (%dx%d blocks of %d): MarginAt = %v, Margin = %v (rel %g)",
+			t.Fatalf("trial %d (%dx%d blocks of %d): WindowMargin = %v, Margin = %v (rel %g)",
 				trial, bw, bh, blockLen, got, want, rd)
 		}
 	}
@@ -82,7 +79,6 @@ func TestBlockModelMarginMatchesModel(t *testing.T) {
 // grid data, i.e. the exact geometry the pyramid scan uses.
 func TestBlockModelLatticeMatchesModel(t *testing.T) {
 	rng := splitmix64(7)
-	ctx := context.Background()
 	for trial := 0; trial < 20; trial++ {
 		bw := 1 + int(rng.next()%4)
 		bh := 1 + int(rng.next()%4)
@@ -101,8 +97,7 @@ func TestBlockModelLatticeMatchesModel(t *testing.T) {
 		blocks := rng.fill(nbx * nby * blockLen)
 		lat := Lattice{NBX: nbx, NBY: nby, StepX: step, StepY: step,
 			NAX: nax, NAY: nay, BlockStride: stride}
-		resp := make([]float64, nax*nay*bw*bh)
-		if err := bm.Responses(ctx, 1, blocks, lat, resp); err != nil {
+		if err := bm.CheckLattice(lat, len(blocks)); err != nil {
 			t.Fatal(err)
 		}
 		desc := make([]float64, 0, bw*bh*blockLen)
@@ -116,44 +111,12 @@ func TestBlockModelLatticeMatchesModel(t *testing.T) {
 						desc = append(desc, blocks[(cy*nbx+cx)*blockLen:][:blockLen]...)
 					}
 				}
-				got := bm.MarginAt(resp, nax, ax, ay)
+				got := bm.WindowMargin(blocks, lat, ax, ay)
 				want := m.Margin(desc)
 				if rd := relDiff(got, want); rd > 1e-9 {
-					t.Fatalf("trial %d anchor (%d,%d): MarginAt = %v, Margin = %v (rel %g)",
+					t.Fatalf("trial %d anchor (%d,%d): WindowMargin = %v, Margin = %v (rel %g)",
 						trial, ax, ay, got, want, rd)
 				}
-			}
-		}
-	}
-}
-
-// TestBlockModelResponsesParallelBitwiseEqual: response planes are
-// bitwise identical at every worker count.
-func TestBlockModelResponsesParallelBitwiseEqual(t *testing.T) {
-	rng := splitmix64(99)
-	ctx := context.Background()
-	bw, bh, blockLen := 7, 7, 36
-	m := &Model{W: rng.fill(bw * bh * blockLen), Bias: 0.25}
-	bm, err := NewBlockModel(m, bw, bh, blockLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbx, nby := 20, 14
-	lat := Lattice{NBX: nbx, NBY: nby, StepX: 2, StepY: 2,
-		NAX: (nbx - bw) / 2, NAY: (nby - bh) / 2, BlockStride: 1}
-	blocks := rng.fill(nbx * nby * blockLen)
-	ref := make([]float64, lat.NAX*lat.NAY*bw*bh)
-	if err := bm.Responses(ctx, 1, blocks, lat, ref); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 0} {
-		got := make([]float64, len(ref))
-		if err := bm.Responses(ctx, workers, blocks, lat, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: resp[%d] = %v, want %v", workers, i, got[i], ref[i])
 			}
 		}
 	}
@@ -202,19 +165,17 @@ func TestLatticeValidateRejectsOutOfRange(t *testing.T) {
 	blocks := make([]float64, 3*3*9)
 	lat := Lattice{NBX: 3, NBY: 3, StepX: 1, StepY: 1, NAX: 3, NAY: 1, BlockStride: 1}
 	// NAX=3 reaches block column (3-1)*1 + (2-1)*1 = 3 >= NBX.
-	resp := make([]float64, 3*1*4)
-	if err := bm.Responses(context.Background(), 1, blocks, lat, resp); err == nil {
+	if err := bm.CheckLattice(lat, len(blocks)); err == nil {
 		t.Fatal("out-of-range lattice accepted")
 	}
 	lat.NAX = 2
-	resp = resp[:2*1*4]
-	if err := bm.Responses(context.Background(), 1, blocks, lat, resp); err != nil {
+	if err := bm.CheckLattice(lat, len(blocks)); err != nil {
 		t.Fatalf("in-range lattice rejected: %v", err)
 	}
-	if err := bm.Responses(context.Background(), 1, blocks, lat, resp[:1]); err == nil {
-		t.Fatal("short response buffer accepted")
-	}
-	if err := bm.Responses(context.Background(), 1, blocks[:10], lat, resp); err == nil {
+	if err := bm.CheckLattice(lat, 10); err == nil {
 		t.Fatal("short block data accepted")
+	}
+	if err := bm.CheckLattice(Lattice{NBX: 3, NBY: 3, NAX: 1, NAY: 1, BlockStride: 1}, len(blocks)); err == nil {
+		t.Fatal("zero anchor step accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package svm
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -41,10 +40,9 @@ func randLattice(rng *splitmix64, bw, bh, blockLen, minNAX int) (Lattice, []floa
 // exactness property over randomized models, lattices and thresholds:
 // a rejected window's true margin never exceeds the threshold, and a
 // surviving window's margin is bitwise identical to the full
-// WindowMargin (and to Responses + MarginAt).
+// WindowMargin.
 func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 	rng := splitmix64(77)
-	ctx := context.Background()
 	for trial := 0; trial < 60; trial++ {
 		bw := 1 + int(rng.next()%4)
 		bh := 1 + int(rng.next()%4)
@@ -55,13 +53,8 @@ func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 			t.Fatal(err)
 		}
 		lat, blocks := randLattice(&rng, bw, bh, blockLen, 1)
-
-		resp := make([]float64, lat.NAX*lat.NAY*bw*bh)
-		if err := bm.Responses(ctx, 1, blocks, lat, resp); err != nil {
-			t.Fatal(err)
-		}
 		// Threshold near a real margin so both branches are exercised.
-		thresh := bm.MarginAt(resp, lat.NAX,
+		thresh := bm.WindowMargin(blocks, lat,
 			int(rng.next()%uint64(lat.NAX)), int(rng.next()%uint64(lat.NAY))) +
 			0.2*rng.float()
 
@@ -69,9 +62,6 @@ func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 		for ay := 0; ay < lat.NAY; ay++ {
 			for ax := 0; ax < lat.NAX; ax++ {
 				full := bm.WindowMargin(blocks, lat, ax, ay)
-				if planed := bm.MarginAt(resp, lat.NAX, ax, ay); full != planed {
-					t.Fatalf("trial %d (%d,%d): WindowMargin %v != MarginAt %v", trial, ax, ay, full, planed)
-				}
 				em, rejected := bm.EarlyMarginAt(blocks, lat, ax, ay, thresh, partial)
 				if rejected {
 					if full > thresh {
@@ -93,12 +83,11 @@ func TestEarlyMarginMatchesWindowMargin(t *testing.T) {
 // the svm layer: over randomized models, planes and thresholds, the
 // quantized decision — with borderline windows resolved by the float
 // oracle, exactly as the pipeline resolves them — must equal the
-// float decision for every window, early exit on or off, on-demand or
-// precomputed plane; and every accepted quantized score must sit
-// within ErrBound of the float margin.
+// float decision for every window, early exit on or off; and every
+// accepted quantized score must sit within ErrBound of the float
+// margin.
 func TestQuantDecisionsMatchFloat(t *testing.T) {
 	rng := splitmix64(123)
-	ctx := context.Background()
 	borderlines, windows := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		bw := 1 + int(rng.next()%4)
@@ -119,10 +108,6 @@ func TestQuantDecisionsMatchFloat(t *testing.T) {
 			t.Fatal(err)
 		}
 		qblocks := fixed.QuantizeQ14(nil, blocks)
-		qresp := make([]int32, lat.NAX*lat.NAY*bw*bh)
-		if err := qm.Responses(ctx, 1, qblocks, lat, qresp); err != nil {
-			t.Fatal(err)
-		}
 
 		check := func(ax, ay int, score float64, dec QuantDecision, via string) {
 			t.Helper()
@@ -153,14 +138,8 @@ func TestQuantDecisionsMatchFloat(t *testing.T) {
 				windows++
 				sEarly, dEarly := qm.ScoreAt(qblocks, lat, ax, ay, true)
 				sFull, dFull := qm.ScoreAt(qblocks, lat, ax, ay, false)
-				sPlane, dPlane := qm.DecideAt(qresp, lat.NAX, ax, ay)
 				check(ax, ay, sEarly, dEarly, "early")
 				check(ax, ay, sFull, dFull, "full")
-				check(ax, ay, sPlane, dPlane, "plane")
-				if dFull != dPlane || sFull != sPlane {
-					t.Fatalf("trial %d (%d,%d): on-demand (%v,%v) != plane (%v,%v)",
-						trial, ax, ay, sFull, dFull, sPlane, dPlane)
-				}
 				// Early exit may only turn non-rejects into nothing —
 				// never the other way around.
 				if dEarly != QuantReject && (dEarly != dFull || sEarly != sFull) {

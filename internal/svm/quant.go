@@ -18,9 +18,6 @@ import (
 	"math"
 
 	"advdet/internal/fixed"
-	"advdet/internal/par"
-
-	"context"
 )
 
 // QuantDecision classifies one window's quantized margin.
@@ -226,96 +223,4 @@ func (qm *QuantBlockModel) ScoreAt(qblocks []int16, lat Lattice, ax, ay int, ear
 		}
 	}
 	return qm.decide(fixed.AddSatI32(qm.qbias, acc))
-}
-
-// Responses precomputes the level's int32 quantized response plane,
-// the integer analogue of BlockModel.Responses over the same
-// anchor-major layout: one Q15.16 partial response per anchor and
-// window-relative block position, DecideAt then folds a window's
-// BW*BH contiguous partials. Used when the early exit is disabled;
-// bitwise identical for every worker count.
-//
-// lint:hotpath
-func (qm *QuantBlockModel) Responses(ctx context.Context, workers int, qblocks []int16, lat Lattice, dst []int32) error {
-	if err := qm.CheckLattice(lat, len(qblocks)); err != nil {
-		return err
-	}
-	perWin := qm.BW * qm.BH
-	if need := lat.NAX * lat.NAY * perWin; len(dst) < need {
-		return fmt.Errorf("svm: quant response buffer holds %d values, lattice needs %d", len(dst), need) // lint:alloc cold validation error path, runs once per reshape not per window
-	}
-	return par.ForEach(ctx, workers, lat.NAY, func(ay int) {
-		base := ay * lat.NAX * perWin
-		for ax := 0; ax < lat.NAX; ax++ {
-			out := dst[base+ax*perWin:][:perWin]
-			p := 0
-			for pby := 0; pby < qm.BH; pby++ {
-				cy := ay*lat.StepY + pby*lat.BlockStride
-				for pbx := 0; pbx < qm.BW; pbx++ {
-					cx := ax*lat.StepX + pbx*lat.BlockStride
-					blk := qblocks[(cy*lat.NBX+cx)*qm.BlockLen:][:qm.BlockLen]
-					wq := qm.wq[p*qm.BlockLen:][:qm.BlockLen]
-					out[p] = fixed.SatI32(fixed.RoundShiftI64(fixed.DotI16(wq, blk), qm.rescale))
-					p++
-				}
-			}
-		}
-	})
-}
-
-// ResponsesDirty refreshes only the anchors marked in dirty (an
-// NAX*NAY row-major mask) of a quantized response plane previously
-// filled by Responses over the same lattice — the int32 analogue of
-// BlockModel.ResponsesDirty, with the identical per-anchor integer
-// datapath, so a refreshed plane is bitwise identical to a full
-// recompute whenever clean anchors' quantized blocks are unchanged.
-//
-// lint:hotpath
-func (qm *QuantBlockModel) ResponsesDirty(ctx context.Context, workers int, qblocks []int16, lat Lattice, dst []int32, dirty []bool) error {
-	if err := qm.CheckLattice(lat, len(qblocks)); err != nil {
-		return err
-	}
-	perWin := qm.BW * qm.BH
-	if need := lat.NAX * lat.NAY * perWin; len(dst) < need {
-		return fmt.Errorf("svm: quant response buffer holds %d values, lattice needs %d", len(dst), need) // lint:alloc cold validation error path, runs once per reshape not per window
-	}
-	if len(dirty) != lat.NAX*lat.NAY {
-		return fmt.Errorf("svm: dirty mask holds %d anchors, lattice has %dx%d", len(dirty), lat.NAX, lat.NAY) // lint:alloc cold validation error path, runs once per reshape not per window
-	}
-	return par.ForEach(ctx, workers, lat.NAY, func(ay int) {
-		base := ay * lat.NAX * perWin
-		drow := dirty[ay*lat.NAX : (ay+1)*lat.NAX]
-		for ax := 0; ax < lat.NAX; ax++ {
-			if !drow[ax] {
-				continue
-			}
-			out := dst[base+ax*perWin:][:perWin]
-			p := 0
-			for pby := 0; pby < qm.BH; pby++ {
-				cy := ay*lat.StepY + pby*lat.BlockStride
-				for pbx := 0; pbx < qm.BW; pbx++ {
-					cx := ax*lat.StepX + pbx*lat.BlockStride
-					blk := qblocks[(cy*lat.NBX+cx)*qm.BlockLen:][:qm.BlockLen]
-					wq := qm.wq[p*qm.BlockLen:][:qm.BlockLen]
-					out[p] = fixed.SatI32(fixed.RoundShiftI64(fixed.DotI16(wq, blk), qm.rescale))
-					p++
-				}
-			}
-		}
-	})
-}
-
-// DecideAt classifies the window at anchor (ax, ay) of a NAX-wide
-// lattice from a response plane filled by Responses. Saturating adds
-// are order-independent here for the same reason MarginAt tolerates
-// reassociation: margins live orders of magnitude inside the int32
-// Q15.16 range.
-func (qm *QuantBlockModel) DecideAt(qresp []int32, nax, ax, ay int) (float64, QuantDecision) {
-	perWin := qm.BW * qm.BH
-	row := qresp[(ay*nax+ax)*perWin:][:perWin]
-	acc := qm.qbias
-	for _, r := range row {
-		acc = fixed.AddSatI32(acc, r)
-	}
-	return qm.decide(acc)
 }

@@ -92,8 +92,8 @@ func WithQuantizedScan() Option {
 }
 
 // WithTemporalCache reuses the system's HOG frame stack — feature maps,
-// block grids, and each sweep's window rows and response planes —
-// across consecutive frames, fingerprinting the frame
+// block grids, and each sweep's window rows — across consecutive
+// frames, fingerprinting the frame
 // in 64x64 tiles and recomputing only what each frame's changed tiles
 // invalidate — the software rendition of persistent BRAM line buffers
 // surviving between frames in the PL. Detection output is
@@ -104,14 +104,6 @@ func WithQuantizedScan() Option {
 // requested.
 func WithTemporalCache() Option {
 	return func(o *SystemOptions) { o.ScanTemporalCache = true }
-}
-
-// WithoutEarlyReject disables the partial-margin early exit in the
-// HOG scans, scoring every window from the full precomputed response
-// plane. Detection output is identical either way; this exists for
-// benchmarking the cascade's saving and as a fallback switch.
-func WithoutEarlyReject() Option {
-	return func(o *SystemOptions) { o.ScanNoEarlyReject = true }
 }
 
 // WithEventSink subscribes a consumer to the system's unified typed

@@ -121,12 +121,6 @@ func WithStreamTemporalCache() StreamOption {
 	return func(c *streamConfig) { c.opt.ScanTemporalCache = true }
 }
 
-// WithStreamNoEarlyReject disables the partial-margin early exit for
-// this stream's HOG scans (see WithoutEarlyReject).
-func WithStreamNoEarlyReject() StreamOption {
-	return func(c *streamConfig) { c.opt.ScanNoEarlyReject = true }
-}
-
 // WithStreamEventSink subscribes a consumer to this stream's typed
 // event stream (see WithEventSink). One sink value may subscribe to
 // several streams — EventLog is safe for that — with each event
