@@ -4,18 +4,15 @@
 //
 // Usage:
 //
-//	benchrepro [-table1] [-table2] [-reconfig] [-dark] [-fps] [-fleet]
-//	           [-all] [-quick] [-json file] [-uhd]
+//	benchrepro [-table1] [-table2] [-reconfig] [-dark] [-fps]
+//	           [-baselines] [-sweep] [-adaptive] [-all] [-quick]
+//	           [-repeats n]
 //
 // With no selection flags, -all is assumed. -quick shrinks the
-// Table I datasets (for CI-speed runs). -json runs the timing-mode
-// performance benchmark plus the fleet capacity experiment (fast, no
-// training) and writes the schema-stable advdet-bench/v1 report
-// (e.g. bench-report.json) to the given file; combine with other flags
-// to also run those sections. -uhd additionally measures the temporal
-// scan cache at 3840x2160 for the report's uhd row. -fleet runs the
-// multi-stream capacity experiment alone, with
-// -fleet-streams/-fleet-frames to scale it.
+// Table I datasets and the dark-pipeline test set (for CI-speed
+// runs). -repeats sets the measurement repeats per reconfiguration
+// controller. -table2, -reconfig and -fps run on the simulated clock
+// alone (no training) and print the same bytes on every host.
 package main
 
 import (
@@ -39,45 +36,13 @@ func main() {
 	bl := flag.Bool("baselines", false, "run related-work baselines (Haar/AdaBoost, PIHOG, tracking)")
 	sw := flag.Bool("sweep", false, "luminance-threshold sensitivity sweep for the dark pipeline")
 	av := flag.Bool("adaptive", false, "system-level adaptive vs fixed-pipeline comparison")
-	fl := flag.Bool("fleet", false, "fleet capacity: N concurrent streams over one shared engine")
-	flStreams := flag.Int("fleet-streams", 0, "fleet experiment stream count (default 8)")
-	flFrames := flag.Int("fleet-frames", 0, "fleet experiment frames per stream (default 30)")
 	all := flag.Bool("all", false, "run everything")
-	quick := flag.Bool("quick", false, "smaller Table I datasets")
+	quick := flag.Bool("quick", false, "smaller Table I and dark-pipeline datasets")
 	repeats := flag.Int("repeats", 1, "measurement repeats per reconfiguration controller")
-	jsonOut := flag.String("json", "", "write the machine-readable advdet-bench/v1 performance report (e.g. bench-report.json) to this file")
-	uhd := flag.Bool("uhd", false, "with -json, add the 3840x2160 temporal-cache cold/warm row (slow: UHD frames)")
 	flag.Parse()
 
-	if !(*t1 || *t2 || *rc || *dk || *fp || *bl || *sw || *av || *fl || *jsonOut != "") {
+	if !(*t1 || *t2 || *rc || *dk || *fp || *bl || *sw || *av) {
 		*all = true
-	}
-
-	if *jsonOut != "" {
-		rep, err := experiments.PerfBench()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *uhd {
-			u, err := experiments.TemporalBench(3840, 2160, 4)
-			if err != nil {
-				log.Fatal(err)
-			}
-			rep.UHD = &u
-		}
-		experiments.WritePerf(os.Stdout, rep)
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.WritePerfJSON(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("performance report written to %s\n\n", *jsonOut)
 	}
 
 	if *all || *t1 {
@@ -138,24 +103,6 @@ func main() {
 	if *all || *fp {
 		fmt.Printf("§V — modeled detection pipeline at 125 MHz, 1920x1080: %.1f fps (paper: 50 fps)\n\n",
 			experiments.FrameRate())
-	}
-
-	// The fleet section reruns the experiment only when -json didn't
-	// already include it or the caller rescaled it.
-	if (*all || *fl) && (*jsonOut == "" || *flStreams > 0 || *flFrames > 0) {
-		opt := experiments.DefaultFleetOptions()
-		if *flStreams > 0 {
-			opt.Streams = *flStreams
-		}
-		if *flFrames > 0 {
-			opt.FramesPerStream = *flFrames
-		}
-		rep, err := experiments.FleetBench(opt)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.WriteFleet(os.Stdout, rep)
-		fmt.Println()
 	}
 
 	if *all || *bl {

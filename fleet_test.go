@@ -274,6 +274,7 @@ func TestFleetOverloadShedsGracefully(t *testing.T) {
 func TestManyStreamSoak(t *testing.T) {
 	const streams = 32
 	const frames = 25
+	const fps = 50
 	d := getDets(t)
 	eng := NewEngine(d, WithQueueDepth(2*streams))
 	defer eng.Close()
@@ -283,6 +284,7 @@ func TestManyStreamSoak(t *testing.T) {
 	for i := 0; i < streams; i++ {
 		st, err := eng.NewStream(
 			WithStreamName(fmt.Sprintf("soak-%d", i)),
+			WithStreamFPS(fps),
 			WithStreamTimingOnly(),
 			WithStreamMetrics())
 		if err != nil {
@@ -312,6 +314,12 @@ func TestManyStreamSoak(t *testing.T) {
 	}
 	if snap.Frames != streams*frames {
 		t.Fatalf("rollup frames %d, want %d", snap.Frames, streams*frames)
+	}
+	// The modeled hardware meets every slot at this frame size, so the
+	// capacity rollup is exactly streams × fps.
+	if snap.DeadlineMisses != 0 || snap.CapacityStreamsFPS != streams*fps {
+		t.Fatalf("capacity %g streams×fps with %d deadline misses, want %d with none",
+			snap.CapacityStreamsFPS, snap.DeadlineMisses, streams*fps)
 	}
 	for i := 0; i < streams; i++ {
 		row, ok := snap.StreamByName(fmt.Sprintf("soak-%d", i))

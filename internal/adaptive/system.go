@@ -152,8 +152,11 @@ type Options struct {
 	// filled from it.
 	Retry RetryPolicy
 	// ScanQuantized scores the HOG scans through the fixed-point
-	// block-response datapath (windows it does not reject re-score in
-	// float: detections identical to the float scan, boxes and scores).
+	// block-response datapath, the model of the PL's DSP48 integer
+	// arithmetic (windows it does not reject re-score in float:
+	// detections identical to the float scan, boxes and scores). It
+	// runs 1.8–3.1× slower than the float early-exit scan at every size
+	// measured, 640×360 to 3840×2160: a fidelity model, not a speedup.
 	// The system's detectors are shallow-cloned with the flag set, so
 	// shared Detectors values are never mutated.
 	ScanQuantized bool

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"advdet/internal/eval"
+	"advdet/internal/pr"
+	"advdet/internal/soc"
 )
 
 func TestPaperTableIInternallyConsistent(t *testing.T) {
@@ -211,6 +214,39 @@ func TestQuantizationLossNegligible(t *testing.T) {
 func TestFrameRateMatchesPaper(t *testing.T) {
 	if fps := FrameRate(); fps < 48 || fps > 55 {
 		t.Fatalf("frame rate %v, paper reports 50", fps)
+	}
+}
+
+// TestSimulatedClockPinned pins the simulated-clock results at the
+// precision benchrepro prints them (-fps, -reconfig), so a change to
+// the SoC, PR-controller or adaptive timing models shows up as an
+// exact diff rather than drifting inside the paper bands above.
+func TestSimulatedClockPinned(t *testing.T) {
+	ms, dropped, err := TransitionCost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := ReconfigComparison(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := func(r pr.Result) string {
+		return fmt.Sprintf("%s %.1f MB/s %.2f ms", r.Controller, r.MBPerSec, soc.Seconds(r.PS)*1e3)
+	}
+	if len(results) != 4 {
+		t.Fatalf("%d controllers, want 4", len(results))
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"fps", fmt.Sprintf("%.1f", FrameRate()), "50.2"},
+		{"transition", fmt.Sprintf("%.2f ms, %d dropped", ms, dropped), "20.57 ms, 1 dropped"},
+		{"controller 0", ctrl(results[0]), "axi-hwicap 19.0 MB/s 420.52 ms"},
+		{"controller 1", ctrl(results[1]), "pcap 145.5 MB/s 55.07 ms"},
+		{"controller 2", ctrl(results[2]), "zycap 382.1 MB/s 20.96 ms"},
+		{"controller 3", ctrl(results[3]), "dma-icap 389.4 MB/s 20.57 ms"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %q, want %q", c.name, c.got, c.want)
+		}
 	}
 }
 

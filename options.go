@@ -81,12 +81,15 @@ func WithRetryPolicy(rp RetryPolicy) Option {
 }
 
 // WithQuantizedScan scores the HOG scans through the int16/int32
-// fixed-point block-response datapath — the software rendition of the
-// PL's DSP48 window evaluators. Detections are identical to the float
-// scan, boxes and scores: the integer datapath only rejects windows
-// its analytic error bound proves below threshold, and every other
-// window re-scores through the float path. Models whose weights exceed
-// the quantizer's range fall back to the float path silently.
+// fixed-point block-response datapath: the model of the integer
+// arithmetic of the PL's DSP48 window evaluators. Detections are
+// identical to the float scan, boxes and scores: the integer datapath
+// only rejects windows its analytic error bound proves below
+// threshold, and every other window re-scores through the float path.
+// It is a fidelity model, not a speedup: on the host it runs 1.8–3.1×
+// slower than the default float early-exit scan at every frame size
+// measured, 640×360 to 3840×2160. Models whose weights exceed the
+// quantizer's range fall back to the float path silently.
 func WithQuantizedScan() Option {
 	return func(o *SystemOptions) { o.ScanQuantized = true }
 }
