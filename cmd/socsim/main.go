@@ -100,6 +100,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The summary and -csv report the whole drive, not the platform
+	// tracer's default window of recent events.
+	sys.Z.Trace.Unbound()
 
 	// A drive that exercises both a free model switch and a real
 	// reconfiguration: day -> dusk -> dark -> day.

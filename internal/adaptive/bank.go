@@ -48,10 +48,10 @@ func (mb *ModelBank) SetFaultPlan(p *fault.Plan) { mb.fault = p }
 // ErrBankSelect: the previously active model stays live.
 func (mb *ModelBank) Select(slot int) error {
 	if slot != 0 && slot != 1 {
-		return fmt.Errorf("adaptive: model bank slot %d out of range", slot)
+		return fmt.Errorf("adaptive: model bank slot %d out of range", slot) // lint:alloc cold error path; a bad slot or an injected select fault, not a steady-state frame
 	}
 	if mb.fault.OnBankSelect() {
-		return fmt.Errorf("adaptive: model bank slot %d: %w", slot, ErrBankSelect)
+		return fmt.Errorf("adaptive: model bank slot %d: %w", slot, ErrBankSelect) // lint:alloc cold error path; a bad slot or an injected select fault, not a steady-state frame
 	}
 	if slot != mb.active {
 		mb.Switches++

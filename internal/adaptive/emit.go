@@ -42,7 +42,7 @@ func (s *System) applyStats(ev Event) {
 	if ev.Kind != EvFault || ev.Fault.Err == nil {
 		return
 	}
-	s.stats.FaultLog = append(s.stats.FaultLog, FaultRecord{
+	s.stats.FaultLog = append(s.stats.FaultLog, FaultRecord{ // lint:alloc one record per fault event, not per frame
 		PS:      ev.PS,
 		Frame:   int(ev.Frame),
 		Target:  ev.Fault.Target,

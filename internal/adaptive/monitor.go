@@ -53,7 +53,7 @@ func NewMonitor(initial synth.Condition) *Monitor {
 func (m *Monitor) Validate() error {
 	if m.DayDuskDown > m.DayDuskUp || m.DuskDarkDown > m.DuskDarkUp ||
 		m.DuskDarkUp > m.DayDuskDown || m.Debounce < 1 {
-		return fmt.Errorf("adaptive: invalid monitor bands %+v", m)
+		return fmt.Errorf("adaptive: invalid monitor bands %+v", m) // lint:alloc cold error path; bands mutated into an incoherent configuration
 	}
 	return nil
 }

@@ -145,7 +145,7 @@ func (s *System) requestReconfig(target ConfigID) {
 	// dirty-tile deltas assume.
 	s.stack.Invalidate()
 	s.recIdx = len(s.stats.Reconfigs)
-	s.stats.Reconfigs = append(s.stats.Reconfigs, Reconfiguration{
+	s.stats.Reconfigs = append(s.stats.Reconfigs, Reconfiguration{ // lint:alloc one record per reconfiguration, not per frame
 		Frame:   s.frameIdx,
 		From:    s.loaded,
 		To:      target,
@@ -234,7 +234,7 @@ func (s *System) onWatchdog(gen uint64) {
 	s.reconfiguring = false
 	s.PR.Abort()
 	s.stats.WatchdogTrips++
-	err := fmt.Errorf("adaptive: reconfiguration to %s: PR-done not seen within %d ps: %w",
+	err := fmt.Errorf("adaptive: reconfiguration to %s: PR-done not seen within %d ps: %w", // lint:alloc cold fault path; a watchdog trip
 		target, s.Opt.Retry.WatchdogPS, pr.ErrTimeout)
 	s.recordFault(target, s.stats.Reconfigs[s.recIdx].Attempts, err)
 	s.scheduleRetry()
@@ -258,7 +258,7 @@ func (s *System) scheduleRetry() {
 		Phase: ReconfigRetryScheduled, From: s.loaded, To: s.pendTarget,
 		Attempt: int32(s.retries), ElapsedPS: backoff}})
 	s.Z.Trace.Record(s.Z.Sim.Now(), "adaptive", "reconfig-retry",
-		fmt.Sprintf("retry %d in %d ps", s.retries, backoff))
+		fmt.Sprintf("retry %d in %d ps", s.retries, backoff)) // lint:alloc cold fault path; one detail per reconfiguration retry
 	s.Z.Sim.Schedule(backoff, func() { s.launchAttempt() })
 }
 

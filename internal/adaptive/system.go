@@ -285,6 +285,7 @@ type System struct {
 	frameIdx      int
 	stats         Stats
 	tracker       *track.Tracker
+	trackIn       []pipeline.Detection // the frame's detections fed to the tracker
 	bank          *ModelBank
 	metrics       *metrics.Registry
 
@@ -476,15 +477,17 @@ func (s *System) ProcessFrame(sc *synth.Scene) (FrameResult, error) {
 // a frame (pipeline.ErrBadFrame, wrapped), if the monitor's bands have
 // been mutated into an incoherent configuration, or if a partial
 // reconfiguration cannot be launched.
+//
+// lint:hotpath
 func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameResult, error) {
 	if err := ctx.Err(); err != nil {
-		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
+		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err) // lint:alloc cold error path; a cancelled, malformed or failed frame, not a steady-state one
 	}
 	if sc == nil {
-		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w: nil scene", s.frameIdx, pipeline.ErrBadFrame)
+		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w: nil scene", s.frameIdx, pipeline.ErrBadFrame) // lint:alloc cold error path; a cancelled, malformed or failed frame, not a steady-state one
 	}
 	if err := pipeline.CheckFrame(sc.Frame); err != nil {
-		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
+		return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err) // lint:alloc cold error path; a cancelled, malformed or failed frame, not a steady-state one
 	}
 	if err := s.Monitor.Validate(); err != nil {
 		return FrameResult{}, err
@@ -612,7 +615,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 		res.VehicleDropped = true
 		s.stats.VehicleDropped++
 		s.Z.Trace.Record(s.Z.Sim.Now(), "adaptive", "vehicle-frame-dropped",
-			fmt.Sprintf("frame %d", s.frameIdx))
+			fmt.Sprintf("frame %d", s.frameIdx)) // lint:alloc cold error path; a cancelled, malformed or failed frame, not a steady-state one
 	} else {
 		stream(s.Z.VehiclePipe, s.Z.HP0, soc.IRQVehicleDMA)
 		serveCond := cond
@@ -621,7 +624,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 			s.stats.StaleVehicleFrames++
 			serveCond = s.residentCondition()
 			s.Z.Trace.Record(s.Z.Sim.Now(), "adaptive", "vehicle-stale",
-				fmt.Sprintf("frame %d serving %s for %s", s.frameIdx, serveCond, cond))
+				fmt.Sprintf("frame %d serving %s for %s", s.frameIdx, serveCond, cond)) // lint:alloc cold error path; a cancelled, malformed or failed frame, not a steady-state one
 		}
 		if s.Opt.RunDetectors {
 			var scanWall time.Time
@@ -630,7 +633,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 			}
 			vehicles, err := s.detectVehicles(ctx, sc, serveCond)
 			if err != nil {
-				return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
+				return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err) // lint:alloc cold error path; a cancelled, malformed or failed frame, not a steady-state one
 			}
 			if s.metrics != nil {
 				s.metrics.StageObserve(metrics.StageVehicleScan, 0, uint64(time.Since(scanWall))) // lint:walltime metrics dual-recording: wall lap rides beside the ps slot clock
@@ -646,7 +649,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 		}
 		peds, err := s.sweep(ctx, sc, s.Dets.Pedestrian)
 		if err != nil {
-			return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err)
+			return FrameResult{}, fmt.Errorf("adaptive: frame %d: %w", s.frameIdx, err) // lint:alloc cold error path; a cancelled, malformed or failed frame, not a steady-state one
 		}
 		if s.metrics != nil {
 			s.metrics.StageObserve(metrics.StagePedestrianScan, 0, uint64(time.Since(scanWall))) // lint:walltime metrics dual-recording: wall lap rides beside the ps slot clock
@@ -659,8 +662,8 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 	// contributes only pedestrians; vehicle tracks coast through it on
 	// their Kalman predictions).
 	if s.tracker != nil {
-		all := append(append([]pipeline.Detection(nil), res.Vehicles...), res.Pedestrians...)
-		s.tracker.Update(all)
+		s.trackIn = append(append(s.trackIn[:0], res.Vehicles...), res.Pedestrians...) // lint:alloc grows the reused tracker input to its high-water mark
+		s.tracker.Update(s.trackIn)
 		res.Tracks = s.tracker.Confirmed()
 	}
 
@@ -710,7 +713,7 @@ func (s *System) ProcessFrameCtx(ctx context.Context, sc *synth.Scene) (FrameRes
 // worker pool: a day or dusk model is a sweep over the frame stack the
 // pedestrian sweep reads too; the dark pipeline is taillight-based and
 // reads the stack's gray plane for luma and the RGB frame for chroma,
-// so every frame converts its pixels once.
+// in the stack's own scratch, so every frame converts its pixels once.
 func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth.Condition) ([]pipeline.Detection, error) {
 	switch cond {
 	case synth.Day:
@@ -723,7 +726,8 @@ func (s *System) detectVehicles(ctx context.Context, sc *synth.Scene, cond synth
 		}
 	case synth.Dark:
 		if s.Dets.Dark != nil {
-			return s.Dets.Dark.DetectGrayCtx(ctx, sc.Frame, s.frameGray(sc), s.workers())
+			s.frameGray(sc)
+			return s.Dets.Dark.DetectStackCtx(ctx, sc.Frame, s.stack, s.workers())
 		}
 	}
 	return nil, nil

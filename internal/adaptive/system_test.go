@@ -307,3 +307,21 @@ func TestScanGeometryRejectedAtBoot(t *testing.T) {
 		t.Fatalf("timing-only system refused: %v", err)
 	}
 }
+
+// TestPlatformTraceStaysBounded: a long-running system's platform
+// trace holds at most soc.TraceEvents events, however many frames run.
+// Unbounded, 20,000 timing-only frames record four events each.
+func TestPlatformTraceStaysBounded(t *testing.T) {
+	s := timingSystem(t, synth.Day)
+	sc := synth.RenderScene(synth.NewRNG(1), synth.SceneConfig{W: 160, H: 90, Cond: synth.Day})
+	sc.Lux = 10000
+	const frames = 20000
+	for i := 0; i < frames; i++ {
+		if _, err := s.ProcessFrame(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.Z.Trace.Len(); n != soc.TraceEvents {
+		t.Fatalf("trace holds %d events after %d frames, want exactly the bound %d", n, frames, soc.TraceEvents)
+	}
+}

@@ -347,7 +347,7 @@ func (p *Plan) draw(s Site) bool {
 }
 
 func (p *Plan) fire(s Site, key string, seq int) {
-	p.events = append(p.events, Event{Site: s, Key: key, Seq: seq})
+	p.events = append(p.events, Event{Site: s, Key: key, Seq: seq}) // lint:alloc runs only with a fault plan installed; fault injection is a test regime, not a steady-state frame
 }
 
 // next advances the xorshift64 generator.
@@ -360,7 +360,7 @@ func (p *Plan) next() uint64 {
 	return x
 }
 
-func irqKey(line int) string { return fmt.Sprintf("irq%d", line) }
+func irqKey(line int) string { return fmt.Sprintf("irq%d", line) } // lint:alloc runs only with a fault plan installed; fault injection is a test regime, not a steady-state frame
 
 func clampOffset(off, bytes int) int {
 	if off <= 0 || off >= bytes {

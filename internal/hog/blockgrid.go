@@ -33,6 +33,42 @@ type BlockGrid struct {
 	nbx, nby int // blocks per axis (one per cell offset)
 	blockLen int
 	norm     []float64 // (cy*nbx+cx)*blockLen holds block (cx, cy)
+
+	fan par.Fanout // fans block rows out
+	job blockJob   // the pass fan is running
+}
+
+// blockJob is one normalization pass over a BlockGrid's rows: every
+// block of each row, or only the blocks marked in dirty.
+type blockJob struct {
+	bg    *BlockGrid
+	fm    *FeatureMap
+	dirty []bool // nil: every block
+}
+
+// Do normalizes block row cy.
+//
+// lint:hotpath
+func (j *blockJob) Do(_, cy int) {
+	bg := j.bg
+	if j.dirty == nil {
+		bg.normalizeRow(j.fm, cy)
+		return
+	}
+	for cx, d := range j.dirty[cy*bg.nbx : (cy+1)*bg.nbx] {
+		if d {
+			bg.normalizeBlock(j.fm, cx, cy)
+		}
+	}
+}
+
+// run fans the pass over every block row on bg's own fan-out, dropping
+// the job's references to the feature map afterwards.
+func (bg *BlockGrid) run(ctx context.Context, workers int, fm *FeatureMap, dirty []bool) error {
+	bg.job = blockJob{bg: bg, fm: fm, dirty: dirty}
+	err := bg.fan.Run(ctx, workers, bg.nby, &bg.job)
+	bg.job = blockJob{}
+	return err
 }
 
 // NewBlockGridCtx computes the normalized block grid of fm with block
@@ -70,9 +106,7 @@ func (bg *BlockGrid) ComputeCtx(ctx context.Context, fm *FeatureMap, workers int
 	} else {
 		bg.norm = bg.norm[:n]
 	}
-	return par.ForEach(ctx, workers, bg.nby, func(cy int) {
-		bg.normalizeRow(fm, cy)
-	})
+	return bg.run(ctx, workers, fm, nil)
 }
 
 // normalizeRow copies and L2Hys-normalizes every block of block row
@@ -178,15 +212,7 @@ func (bg *BlockGrid) ComputeDirtyCtx(ctx context.Context, fm *FeatureMap, worker
 	if len(dirty) != nbx*nby {
 		return fmt.Errorf("hog: dirty mask holds %d blocks, grid has %dx%d", len(dirty), nbx, nby) // lint:alloc cold validation error path
 	}
-	return par.ForEach(ctx, workers, nby, func(cy int) {
-		row := dirty[cy*nbx : (cy+1)*nbx]
-		for cx, d := range row {
-			if !d {
-				continue
-			}
-			bg.normalizeBlock(fm, cx, cy)
-		}
-	})
+	return bg.run(ctx, workers, fm, dirty)
 }
 
 // Dims returns the block-grid dimensions (blocks per axis).

@@ -29,6 +29,59 @@ type FeatureMap struct {
 
 	cw, ch int       // cell-grid dimensions
 	hist   []float64 // cell-major histograms, as Config.CellHistograms
+
+	fan par.Fanout // fans every compute stage's rows out
+	job featureJob // the stage fan is running
+}
+
+// Feature-map compute stages, each fanned out one row per index.
+const (
+	stageLUT      = iota // fused gradient + histogram cell rows
+	stageGradient        // gradient pixel rows
+	stageHist            // cell-histogram rows from the gradient planes
+	stageDirty           // LUT refresh of a row's dirty cells
+)
+
+// featureJob is one compute stage of a FeatureMap: the stage's inputs,
+// set for the duration of one fan-out.
+type featureJob struct {
+	m        *FeatureMap
+	stage    int
+	g        *img.Gray
+	mag, ang []float32
+	binWidth float64
+	dirty    []bool
+}
+
+// Do computes row i of the job's stage.
+//
+// lint:hotpath
+func (j *featureJob) Do(_, i int) {
+	m, c, g := j.m, j.m.Cfg, j.g
+	switch j.stage {
+	case stageLUT:
+		c.cellRowHistogramsLUT(g.Pix, g.W, g.H, i, m.cw, m.hist)
+	case stageGradient:
+		gradientRow(g, i, j.mag, j.ang)
+	case stageHist:
+		c.cellRowHistograms(g.W, i, m.cw, j.mag, j.ang, j.binWidth, m.hist)
+	case stageDirty:
+		for cx, d := range j.dirty[i*m.cw : (i+1)*m.cw] {
+			if d {
+				c.cellHistogramLUT(g.Pix, g.W, g.H, cx, i, m.hist[(i*m.cw+cx)*lutBins:][:lutBins])
+			}
+		}
+	}
+}
+
+// run fans stage j over n rows on m's own fan-out, dropping the job's
+// references to the caller's planes afterwards.
+func (m *FeatureMap) run(ctx context.Context, workers, n int, j featureJob) error {
+	m.job = j
+	m.job.m = m
+	err := m.fan.Run(ctx, workers, n, &m.job)
+	m.job = featureJob{}
+	return err
 }
 
 // Scratch holds the reusable intermediate buffers of feature-map
@@ -99,23 +152,16 @@ func (m *FeatureMap) ComputeCtx(ctx context.Context, c Config, g *img.Gray, work
 		// the per-(dx,dy) table in one pass, bitwise identical to the
 		// two-stage scalar path below.
 		ensureHistLUT()
-		return par.ForEach(ctx, workers, ch, func(cy int) {
-			c.cellRowHistogramsLUT(g.Pix, g.W, g.H, cy, cw, m.hist)
-		})
+		return m.run(ctx, workers, ch, featureJob{stage: stageLUT, g: g})
 	}
 	if s == nil {
 		s = &Scratch{}
 	}
 	mag, ang := s.grads(g.W * g.H)
-	if err := par.ForEach(ctx, workers, g.H, func(y int) {
-		gradientRow(g, y, mag, ang)
-	}); err != nil {
+	if err := m.run(ctx, workers, g.H, featureJob{stage: stageGradient, g: g, mag: mag, ang: ang}); err != nil {
 		return err
 	}
-	binWidth := 180.0 / float64(c.Bins)
-	return par.ForEach(ctx, workers, ch, func(cy int) {
-		c.cellRowHistograms(g.W, cy, cw, mag, ang, binWidth, m.hist)
-	})
+	return m.run(ctx, workers, ch, featureJob{stage: stageHist, g: g, mag: mag, ang: ang, binWidth: 180.0 / float64(c.Bins)})
 }
 
 // SupportsDirtyRefresh reports whether ComputeDirtyCtx can refresh
@@ -148,15 +194,7 @@ func (m *FeatureMap) ComputeDirtyCtx(ctx context.Context, c Config, g *img.Gray,
 		return fmt.Errorf("hog: dirty mask holds %d cells, grid has %dx%d", len(dirty), m.cw, m.ch) // lint:alloc cold validation error path
 	}
 	ensureHistLUT()
-	return par.ForEach(ctx, workers, m.ch, func(cy int) {
-		row := dirty[cy*m.cw : (cy+1)*m.cw]
-		for cx, d := range row {
-			if !d {
-				continue
-			}
-			c.cellHistogramLUT(g.Pix, g.W, g.H, cx, cy, m.hist[(cy*m.cw+cx)*lutBins:][:lutBins])
-		}
-	})
+	return m.run(ctx, workers, m.ch, featureJob{stage: stageDirty, g: g, dirty: dirty})
 }
 
 // Aligned reports whether a window anchored at (x, y) lies on the

@@ -39,39 +39,31 @@ func leafHash(ps uint64, payload []byte) Hash {
 	return out
 }
 
+// tagged hashes a domain tag byte followed by two hashes, in one
+// fixed-size buffer.
+func tagged(tag byte, a, b Hash) Hash {
+	var buf [1 + 2*len(Hash{})]byte
+	buf[0] = tag
+	copy(buf[1:], a[:])
+	copy(buf[1+len(a):], b[:])
+	return sha256.Sum256(buf[:])
+}
+
 // nodeHash combines two Merkle siblings, left-then-right.
 func nodeHash(left, right Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagNode})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	return tagged(tagNode, left, right)
 }
 
 // chainHash extends a stream's hash chain by one leaf: the head after
 // event i commits to every event up to and including i.
 func chainHash(head, leaf Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagChain})
-	h.Write(head[:])
-	h.Write(leaf[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	return tagged(tagChain, head, leaf)
 }
 
 // anchorHash extends the engine-level anchor chain by one sealed batch
 // root — the single hash a fleet backend would persist per batch.
 func anchorHash(anchor, root Hash) Hash {
-	h := sha256.New()
-	h.Write([]byte{tagAnchor})
-	h.Write(anchor[:])
-	h.Write(root[:])
-	var out Hash
-	h.Sum(out[:0])
-	return out
+	return tagged(tagAnchor, anchor, root)
 }
 
 // merkleRoot computes the root over leaves with the promotion rule for

@@ -147,3 +147,71 @@ func TestForEachLocalPreCancelled(t *testing.T) {
 		t.Fatal("fn ran after pre-cancellation (serial path must check first)")
 	}
 }
+
+// squares is an owned-fan-out job writing i*i into its own slot.
+type squares struct{ out []int }
+
+func (s *squares) Do(_, i int) { s.out[i] = i * i }
+
+// TestFanoutAllocFree pins the owned fan-out's contract: once its
+// helper func value is bound, a Run allocates nothing at any width,
+// and its output equals the serial path's.
+func TestFanoutAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	const n = 257
+	ref := &squares{out: make([]int, n)}
+	var serial Fanout
+	if err := serial.Run(context.Background(), 1, n, ref); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, workers := range []int{1, 2, 4} {
+		var f Fanout
+		job := &squares{out: make([]int, n)}
+		allocs := testing.AllocsPerRun(50, func() {
+			clear(job.out)
+			if err := f.Run(ctx, workers, n, job); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("workers=%d: Run allocates %.1f objects, want 0", workers, allocs)
+		}
+		for i := range ref.out {
+			if job.out[i] != ref.out[i] {
+				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, job.out[i], ref.out[i])
+			}
+		}
+	}
+}
+
+// workerIDs records which worker ran each index.
+type workerIDs struct {
+	workers int
+	bad     atomic.Int32
+}
+
+func (j *workerIDs) Do(w, _ int) {
+	if w < 0 || w >= j.workers {
+		j.bad.Add(1)
+	}
+}
+
+// TestFanoutWorkerIDsInRange: every worker id a job sees lies in
+// [0, workers), so jobs can index per-worker scratch by it.
+func TestFanoutWorkerIDsInRange(t *testing.T) {
+	var f Fanout
+	for _, workers := range []int{1, 2, 3, 8} {
+		j := &workerIDs{workers: workers}
+		for rep := 0; rep < 20; rep++ {
+			if err := f.Run(context.Background(), workers, 100, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := j.bad.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d indices ran on an out-of-range worker id", workers, n)
+		}
+	}
+}

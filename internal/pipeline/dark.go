@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"advdet/internal/dbn"
 	"advdet/internal/img"
@@ -116,14 +115,14 @@ func CheckFrame(frame *img.RGB) error { return checkFrame(frame, nil) }
 func checkFrame(frame *img.RGB, gray *img.Gray) error {
 	switch {
 	case frame == nil:
-		return fmt.Errorf("%w: nil frame", ErrBadFrame)
+		return fmt.Errorf("%w: nil frame", ErrBadFrame) // lint:alloc cold error path; a malformed frame or a cancelled scan, not a steady-state frame
 	case frame.W <= 0 || frame.H <= 0:
-		return fmt.Errorf("%w: frame size %dx%d", ErrBadFrame, frame.W, frame.H)
+		return fmt.Errorf("%w: frame size %dx%d", ErrBadFrame, frame.W, frame.H) // lint:alloc cold error path; a malformed frame or a cancelled scan, not a steady-state frame
 	case len(frame.Pix) != 3*frame.W*frame.H:
-		return fmt.Errorf("%w: %d RGB bytes for a %dx%d frame, want %d",
+		return fmt.Errorf("%w: %d RGB bytes for a %dx%d frame, want %d", // lint:alloc cold error path; a malformed frame or a cancelled scan, not a steady-state frame
 			ErrBadFrame, len(frame.Pix), frame.W, frame.H, 3*frame.W*frame.H)
 	case gray != nil && (gray.W != frame.W || gray.H != frame.H || len(gray.Pix) != frame.W*frame.H):
-		return fmt.Errorf("%w: %dx%d gray plane of %d bytes for a %dx%d frame",
+		return fmt.Errorf("%w: %dx%d gray plane of %d bytes for a %dx%d frame", // lint:alloc cold error path; a malformed frame or a cancelled scan, not a steady-state frame
 			ErrBadFrame, gray.W, gray.H, len(gray.Pix), frame.W, frame.H)
 	}
 	return nil
@@ -132,10 +131,12 @@ func checkFrame(frame *img.RGB, gray *img.Gray) error {
 // darkScratch is the working memory of one dark-pipeline call: the
 // gray plane it converts when the caller has none, the mask, closing
 // and closing-intermediate binaries, the per-window-row hit and stat
-// arenas, and the DBN sweep's per-worker locals. One DarkDetector
-// serves every stream of an Engine, so a call borrows its scratch from
-// a process-wide pool instead of the detector owning one; the steady
-// state allocates none of it. Nothing borrowed escapes a call.
+// arenas, the DBN sweep's per-worker scratch, the merged lamps, the
+// pair candidates, NMS's working set and the call's fan-out. One
+// DarkDetector serves every stream of an Engine, so the detector owns
+// none: a stream's frame stack owns one (DetectStackCtx), and the other
+// entry points borrow one from a process-wide pool. The steady state
+// allocates none of it. Nothing in it escapes a call.
 type darkScratch struct {
 	gray              *img.Gray
 	mask, closed, tmp *img.Binary
@@ -143,10 +144,12 @@ type darkScratch struct {
 	rowStats          []ScanStats // per window row
 	hits              []Light     // every row's hits in raster order
 	workers           []*darkWorker
-	nextWorker        atomic.Int32 // workers handed out this sweep
-	// newWorker is worker as a func value, bound once per pooled
-	// scratch rather than once per sweep.
-	newWorker func() *darkWorker
+	lights            []Light     // hits merged into lamp candidates
+	used              []bool      // mergeLights' visited marks
+	pairs             []Detection // pair candidates before NMS
+	nms               nmsScratch
+	fan               par.Fanout
+	job               darkJob
 }
 
 // darkWorker is one DBN-sweep worker's scratch: the float window fed
@@ -158,11 +161,45 @@ type darkWorker struct {
 	net    dbn.Scratch
 }
 
-var darkPool = sync.Pool{New: func() any {
-	s := new(darkScratch)
-	s.newWorker = s.worker
-	return s
-}}
+// darkJob is one of a dark call's fan-outs: the front half's mask-row
+// bands (frame set) or the DBN sweep's window rows over b.
+type darkJob struct {
+	d *DarkDetector
+	s *darkScratch
+	// Mask bands.
+	frame   *img.RGB
+	gray    *img.Gray
+	p       img.MaskParams
+	convert bool
+	bands   int
+	// DBN sweep.
+	b *img.Binary
+}
+
+// Do writes mask band i, or scans window row i on worker w.
+//
+// lint:hotpath
+func (j *darkJob) Do(w, i int) {
+	s := j.s
+	if j.frame != nil {
+		mh := s.mask.H
+		maskBand(s.mask, j.gray, j.frame, j.p, j.convert, mh*i/j.bands, mh*(i+1)/j.bands)
+		return
+	}
+	s.rowHits[i], s.rowStats[i] = j.d.sweepRow(j.b, i*j.d.Cfg.Stride, s.workers[w], s.rowHits[i][:0])
+}
+
+// run fans j over n indices on the scratch's fan-out, dropping the
+// job's references to the caller's data afterwards.
+func (s *darkScratch) run(ctx context.Context, workers, n int, j darkJob) error {
+	s.job = j
+	s.job.s = s
+	err := s.fan.Run(ctx, workers, n, &s.job)
+	s.job = darkJob{}
+	return err
+}
+
+var darkPool = sync.Pool{New: func() any { return new(darkScratch) }}
 
 func borrowDark() *darkScratch { return darkPool.Get().(*darkScratch) }
 
@@ -170,29 +207,21 @@ func releaseDark(s *darkScratch) {
 	darkPool.Put(s) // lint:alloc sync.Pool.Put boxes once per call, not per window
 }
 
-// beginWorkers readies one worker scratch per sweep worker; worker
-// hands them out.
+// beginWorkers readies one worker scratch per sweep worker.
 func (s *darkScratch) beginWorkers(n int) {
 	for len(s.workers) < n {
-		s.workers = append(s.workers, new(darkWorker)) // lint:alloc grows to the worker count once per pooled scratch
+		s.workers = append(s.workers, new(darkWorker)) // lint:alloc grows to the worker count once per scratch
 	}
-	s.nextWorker.Store(0)
-}
-
-// worker is the par.ForEachLocal local constructor, called once per
-// sweep worker.
-func (s *darkScratch) worker() *darkWorker {
-	return s.workers[s.nextWorker.Add(1)-1]
 }
 
 // setRows sizes the per-row arenas for n window rows, keeping each
 // row's hit buffer for reuse.
 func (s *darkScratch) setRows(n int) {
 	for len(s.rowHits) < n {
-		s.rowHits = append(s.rowHits, nil) // lint:alloc grows to the frame's window-row count once per pooled scratch
+		s.rowHits = append(s.rowHits, nil) // lint:alloc grows to the frame's window-row count once per scratch
 	}
 	if cap(s.rowStats) < n {
-		s.rowStats = make([]ScanStats, n) // lint:alloc grows to the frame's window-row count once per pooled scratch
+		s.rowStats = make([]ScanStats, n) // lint:alloc grows to the frame's window-row count once per scratch
 	}
 	s.rowStats = s.rowStats[:n]
 }
@@ -233,9 +262,7 @@ func (d *DarkDetector) preprocess(ctx context.Context, s *darkScratch, frame *im
 	mask := s.mask
 	if bands <= 1 {
 		maskBand(mask, gray, frame, p, convert, 0, mh)
-	} else if err := par.ForEach(ctx, bands, bands, func(b int) {
-		maskBand(mask, gray, frame, p, convert, mh*b/bands, mh*(b+1)/bands)
-	}); err != nil {
+	} else if err := s.run(ctx, bands, bands, darkJob{frame: frame, gray: gray, p: p, convert: convert, bands: bands}); err != nil {
 		return nil, err
 	}
 	if !d.Cfg.UseClosing {
@@ -333,15 +360,13 @@ func (d *DarkDetector) sweep(ctx context.Context, s *darkScratch, b *img.Binary,
 	}
 	s.setRows(rows)
 	s.beginWorkers(min(par.Workers(workers), rows))
-	if err := par.ForEachLocal(ctx, workers, rows, s.newWorker, func(i int, w *darkWorker) {
-		s.rowHits[i], s.rowStats[i] = d.sweepRow(b, i*d.Cfg.Stride, w, s.rowHits[i][:0])
-	}); err != nil {
+	if err := s.run(ctx, workers, rows, darkJob{d: d, b: b}); err != nil {
 		return ScanStats{}, err
 	}
 	var stats ScanStats
 	s.hits = s.hits[:0]
 	for i := 0; i < rows; i++ {
-		s.hits = append(s.hits, s.rowHits[i]...) // lint:alloc grows the pooled hit arena to its high-water mark
+		s.hits = append(s.hits, s.rowHits[i]...) // lint:alloc grows the hit arena to its high-water mark
 		stats.Windows += s.rowStats[i].Windows
 		stats.Evaluated += s.rowStats[i].Evaluated
 		stats.Hits += s.rowStats[i].Hits
@@ -360,7 +385,7 @@ func (d *DarkDetector) sweep(ctx context.Context, s *darkScratch, b *img.Binary,
 func (d *DarkDetector) sweepRow(b *img.Binary, y int, w *darkWorker, hits []Light) ([]Light, ScanStats) {
 	const side = dbn.Window
 	if cap(w.colPre) < b.W+1 {
-		w.colPre = make([]int32, b.W+1) // lint:alloc grows to the map width once per pooled worker
+		w.colPre = make([]int32, b.W+1) // lint:alloc grows to the map width once per worker
 	}
 	pre := w.colPre[:b.W+1]
 	clear(pre)
@@ -390,7 +415,7 @@ func (d *DarkDetector) sweepRow(b *img.Binary, y int, w *darkWorker, hits []Ligh
 			continue
 		}
 		st.Hits++
-		hits = append(hits, Light{ // lint:alloc grows the pooled row arena to its high-water mark
+		hits = append(hits, Light{ // lint:alloc grows the row arena to its high-water mark
 			Box:   img.Rect{X0: x, Y0: y, X1: x + side, Y1: y + side},
 			Class: class,
 			Prob:  prob,
@@ -400,10 +425,23 @@ func (d *DarkDetector) sweepRow(b *img.Binary, y int, w *darkWorker, hits []Ligh
 }
 
 // mergeLights unions overlapping window hits into one candidate per
-// lamp, keeping the highest-probability class.
+// lamp, keeping the highest-probability class. The result is fresh,
+// nil when there are no hits.
 func mergeLights(hits []Light) []Light {
-	var out []Light
-	used := make([]bool, len(hits))
+	out, _ := mergeLightsInto(nil, nil, hits)
+	return out
+}
+
+// mergeLightsInto is mergeLights appending to out, with used as the
+// visited marks; both grow only past their capacity.
+//
+// lint:hotpath
+func mergeLightsInto(out []Light, used []bool, hits []Light) ([]Light, []bool) {
+	if cap(used) < len(hits) {
+		used = make([]bool, len(hits)) // lint:alloc grows the marks to the hit high-water mark
+	}
+	used = used[:len(hits)]
+	clear(used)
 	for i := range hits {
 		if used[i] {
 			continue
@@ -428,9 +466,9 @@ func mergeLights(hits []Light) []Light {
 				}
 			}
 		}
-		out = append(out, cur)
+		out = append(out, cur) // lint:alloc grows the lamp buffer to its high-water mark
 	}
-	return out
+	return out, used
 }
 
 // PairFeatures computes the spatial-correlation feature vector for a
@@ -491,13 +529,27 @@ func (d *DarkDetector) DetectCtx(ctx context.Context, frame *img.RGB, workers in
 // plane of another size returns an error wrapping ErrBadFrame.
 func (d *DarkDetector) DetectGrayCtx(ctx context.Context, frame *img.RGB, gray *img.Gray, workers int) ([]Detection, error) {
 	if gray == nil {
-		return nil, fmt.Errorf("%w: nil gray plane", ErrBadFrame)
+		return nil, fmt.Errorf("%w: nil gray plane", ErrBadFrame) // lint:alloc cold error path; a malformed frame or a cancelled scan, not a steady-state frame
 	}
 	return d.detect(ctx, frame, gray, workers)
 }
 
-// detect runs the whole pipeline in a pooled scratch: the banded front
-// half, the gated DBN sweep and the pair back half. gray nil means
+// DetectStackCtx is DetectGrayCtx over the gray plane of st's open
+// frame (FrameStack.BeginRGB of frame), run in scratch the stack owns
+// rather than a pooled one, so the stream that owns the stack keeps
+// the dark pipeline's buffers from frame to frame.
+func (d *DarkDetector) DetectStackCtx(ctx context.Context, frame *img.RGB, st *FrameStack, workers int) ([]Detection, error) {
+	gray := st.Source()
+	if gray == nil {
+		return nil, fmt.Errorf("%w: frame stack has no open frame", ErrBadFrame) // lint:alloc cold error path; a caller that opened no frame
+	}
+	if err := checkFrame(frame, gray); err != nil {
+		return nil, err
+	}
+	return d.detectIn(ctx, &st.dark, frame, gray, workers)
+}
+
+// detect runs the whole pipeline in a pooled scratch. gray nil means
 // convert in the scratch.
 func (d *DarkDetector) detect(ctx context.Context, frame *img.RGB, gray *img.Gray, workers int) ([]Detection, error) {
 	if err := checkFrame(frame, gray); err != nil {
@@ -505,21 +557,31 @@ func (d *DarkDetector) detect(ctx context.Context, frame *img.RGB, gray *img.Gra
 	}
 	s := borrowDark()
 	defer releaseDark(s)
+	return d.detectIn(ctx, s, frame, gray, workers)
+}
+
+// detectIn runs the whole pipeline in s: the banded front half, the
+// gated DBN sweep and the pair back half, over a checked frame.
+func (d *DarkDetector) detectIn(ctx context.Context, s *darkScratch, frame *img.RGB, gray *img.Gray, workers int) ([]Detection, error) {
 	b, err := d.preprocess(ctx, s, frame, gray, d.maskBands(frame, workers))
 	if err == nil {
 		_, err = d.sweep(ctx, s, b, workers)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: dark detect: %w", err)
+		return nil, fmt.Errorf("pipeline: dark detect: %w", err) // lint:alloc cold error path; a malformed frame or a cancelled scan, not a steady-state frame
 	}
-	return d.pairLights(mergeLights(s.hits), frame, d.Cfg.FactorFor(frame.W)), nil
+	s.lights, s.used = mergeLightsInto(s.lights[:0], s.used, s.hits)
+	s.pairs = d.pairLights(s.pairs[:0], s.lights, frame, d.Cfg.FactorFor(frame.W))
+	return s.nms.run(s.pairs, 0.3), nil
 }
 
-// pairLights runs the spatial-correlation back half of the pipeline:
-// candidate lamps are paired, gated, scored, and expanded to vehicle
-// boxes in full-resolution frame coordinates.
-func (d *DarkDetector) pairLights(lights []Light, frame *img.RGB, factor int) []Detection {
-	var dets []Detection
+// pairLights runs the spatial-correlation back half of the pipeline
+// up to NMS: candidate lamps are paired, gated, scored, and expanded
+// to vehicle boxes in full-resolution frame coordinates, appended to
+// dets.
+//
+// lint:hotpath
+func (d *DarkDetector) pairLights(dets []Detection, lights []Light, frame *img.RGB, factor int) []Detection {
 	for i := 0; i < len(lights); i++ {
 		for j := i + 1; j < len(lights); j++ {
 			a, c := lights[i], lights[j]
@@ -558,10 +620,10 @@ func (d *DarkDetector) pairLights(lights []Light, frame *img.RGB, factor int) []
 			if box.Empty() {
 				continue
 			}
-			dets = append(dets, Detection{Box: box, Score: score + a.Prob + c.Prob, Kind: KindVehicle})
+			dets = append(dets, Detection{Box: box, Score: score + a.Prob + c.Prob, Kind: KindVehicle}) // lint:alloc grows the pair buffer to its high-water mark
 		}
 	}
-	return NMS(dets, 0.3)
+	return dets
 }
 
 // ClassifyCrop decides whether a dark RGB crop contains a vehicle, the

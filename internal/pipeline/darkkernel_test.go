@@ -70,7 +70,7 @@ func oracleScan(d *DarkDetector, b *img.Binary) ([]Light, ScanStats) {
 // oracleDetect is the whole pipeline over the two oracles.
 func oracleDetect(d *DarkDetector, frame *img.RGB) []Detection {
 	lights, _ := oracleScan(d, oracleMask(d.Cfg, frame))
-	return d.pairLights(lights, frame, d.Cfg.FactorFor(frame.W))
+	return NMS(d.pairLights(nil, lights, frame, d.Cfg.FactorFor(frame.W)), 0.3)
 }
 
 // noiseFrame is a w x h frame of uniform random pixels: about two in
@@ -264,7 +264,7 @@ func sameLights(a, b []Light) bool {
 }
 
 // TestDarkDetectMatchesComposition: the whole pipeline, through
-// DetectCtx and DetectGrayCtx at every worker count, returns the
+// DetectCtx, DetectGrayCtx and DetectStackCtx at every worker count, returns the
 // detections of the oracle composition — on the paper's 1080p frame
 // with the width-derived factor, and on odd sizes at factor 1 and at
 // factor 2 with radius 2. The 1080p and factor-2 cases are skipped
@@ -285,6 +285,7 @@ func TestDarkDetectMatchesComposition(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		cases = cases[:3]
 	}
+	st := NewFrameStack() // one stack across cases: its scratch is reused
 	for _, c := range cases {
 		d := quickDark(t, 1)
 		d.Cfg.Downsample, d.Cfg.CloseRadius = c.factor, c.radius
@@ -308,6 +309,14 @@ func TestDarkDetectMatchesComposition(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%dx%d %v seed %d workers %d: DetectGrayCtx %v, composition %v", c.w, c.h, c.cond, seed, workers, got, want)
 				}
+				st.BeginRGB(sc.Frame, workers)
+				got, err = d.DetectStackCtx(ctx, sc.Frame, st, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%dx%d %v seed %d workers %d: DetectStackCtx %v, composition %v", c.w, c.h, c.cond, seed, workers, got, want)
+				}
 			}
 		}
 	}
@@ -317,7 +326,7 @@ func TestDarkDetectMatchesComposition(t *testing.T) {
 }
 
 // TestDarkDetectBadFrame: malformed input is a wrapped ErrBadFrame
-// from both entry points, never a panic; a well-formed frame too small
+// from every entry point, never a panic; a well-formed frame too small
 // for one DBN window is no detections and no error.
 func TestDarkDetectBadFrame(t *testing.T) {
 	d := quickDark(t, 1)
@@ -351,6 +360,9 @@ func TestDarkDetectBadFrame(t *testing.T) {
 				t.Fatalf("DetectGrayCtx error %v, want ErrBadFrame", err)
 			}
 		})
+	}
+	if _, err := d.DetectStackCtx(ctx, good, NewFrameStack(), 2); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("DetectStackCtx over a stack with no open frame: error %v, want ErrBadFrame", err)
 	}
 	for _, sz := range [][2]int{{8, 8}, {1, 1}, {100, 8}, {8, 100}} {
 		tiny := img.NewRGB(sz[0], sz[1])

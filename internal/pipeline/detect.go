@@ -14,7 +14,7 @@
 package pipeline
 
 import (
-	"sort"
+	"slices"
 
 	"advdet/internal/img"
 )
@@ -59,23 +59,56 @@ func Boxes(dets []Detection) []img.Rect {
 // in decreasing score order and any detection overlapping an already
 // accepted one with IoU above the threshold is discarded.
 func NMS(dets []Detection, iouThresh float64) []Detection {
-	sorted := make([]Detection, len(dets))
-	copy(sorted, dets)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
-	var kept []Detection
-	for _, d := range sorted {
+	var ns nmsScratch
+	return ns.run(dets, iouThresh)
+}
+
+// nmsScratch is NMS's reusable working set: the score-sorted copy and
+// the survivors. Held by a scan or dark scratch, it leaves the
+// returned slice as NMS's only allocation.
+type nmsScratch struct {
+	sorted, kept []Detection
+}
+
+// byScoreDesc orders detections by descending score: the comparator
+// form of the less function a > b, so a stable sort orders them
+// exactly as sort.SliceStable with that less function does.
+func byScoreDesc(a, b Detection) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return 0
+}
+
+// run is NMS over ns's buffers. The survivors are returned in a fresh
+// slice of exactly their length, nil when there are none.
+//
+// lint:hotpath
+func (ns *nmsScratch) run(dets []Detection, iouThresh float64) []Detection {
+	ns.sorted = append(ns.sorted[:0], dets...) // lint:alloc grows the reused buffer to its high-water mark
+	slices.SortStableFunc(ns.sorted, byScoreDesc)
+	ns.kept = ns.kept[:0]
+	for _, d := range ns.sorted {
 		ok := true
-		for _, k := range kept {
+		for _, k := range ns.kept {
 			if d.Box.IoU(k.Box) > iouThresh {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			kept = append(kept, d)
+			ns.kept = append(ns.kept, d) // lint:alloc grows the reused buffer to its high-water mark
 		}
 	}
-	return kept
+	if len(ns.kept) == 0 {
+		return nil
+	}
+	out := make([]Detection, len(ns.kept)) // lint:alloc the survivors handed to the caller
+	copy(out, ns.kept)
+	return out
 }
 
 // slideWindows scans a w x h window over g with the given stride,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"advdet/internal/haar"
@@ -33,6 +34,13 @@ func requireSameDetections(t *testing.T, label string, got, want []Detection) {
 	}
 }
 
+// sweepDets runs s over st's open frame in the stack's scan scratch and
+// returns a copy of the sweep's detections, before NMS.
+func sweepDets(ctx context.Context, s windowSweep, st *FrameStack, workers int) ([]Detection, error) {
+	dets, err := s.run(ctx, st, &st.scan, workers, nil)
+	return slices.Clone(dets), err
+}
+
 // TestEarlyRejectMatchesFullMargin is the early exit's exactness gate
 // at the sweep level: for every scan kind and worker count, a sweep at
 // its threshold must return exactly the windows a full-margin sweep
@@ -47,7 +55,7 @@ func TestEarlyRejectMatchesFullMargin(t *testing.T) {
 			full.Thresh = math.Inf(-1)
 			st := NewFrameStack()
 			st.Begin(tc.frame)
-			all, err := full.run(ctx, st, 1, nil)
+			all, err := sweepDets(ctx, full, st, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +70,7 @@ func TestEarlyRejectMatchesFullMargin(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, runtime.NumCPU()} {
 				st.Begin(tc.frame)
-				got, err := tc.sweep.run(ctx, st, workers, nil)
+				got, err := sweepDets(ctx, tc.sweep, st, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -193,33 +201,6 @@ func TestPrefilterLatticeMatchesScan(t *testing.T) {
 				k++
 			}
 		}
-	}
-}
-
-// TestReleaseScanScratchClearsResults is the fails-pre-fix regression
-// for the result-arena leak: when a scan's task count shrinks between
-// borrows, the rows of the larger scan parked beyond the new length
-// must be dropped on release, or the pooled scratch pins their
-// detection slices (and transitively the frames they were assembled
-// from) indefinitely.
-func TestReleaseScanScratchClearsResults(t *testing.T) {
-	s := new(scanScratch)
-	_, results := s.setTasks(10)
-	for i := range results {
-		results[i] = []Detection{{Score: float64(i)}}
-	}
-	backing := results[:cap(results)]
-	s.setTasks(3) // a smaller frame's scan
-	releaseScanScratch(s)
-	for i := range backing {
-		if backing[i] != nil {
-			t.Fatalf("release left results[%d] populated after shrink; pooled scratch pins past-frame detections", i)
-		}
-	}
-	// Claim the scratch back so the doctored state can't leak into a
-	// concurrently running test via the pool.
-	if got := borrowScanScratch(); got != s {
-		scanPool.Put(got)
 	}
 }
 

@@ -93,11 +93,20 @@ func (c *ScanConfig) Scan() *ScanConfig { return c }
 // wrapped; test with errors.Is.
 var ErrScanGeometry = errors.New("pipeline: scan geometry off the block grid")
 
+// checkStride rejects a stride that is not a positive multiple of the
+// cell size, wrapping ErrScanGeometry.
+func (s windowSweep) checkStride() error {
+	if cell := s.Cfg.CellSize; cell <= 0 || s.Stride <= 0 || s.Stride%cell != 0 {
+		return fmt.Errorf("%w: stride %d is not a multiple of the %d-px cell", ErrScanGeometry, s.Stride, cell) // lint:alloc cold error path; a misconfigured detector, not a steady-state frame
+	}
+	return nil
+}
+
 // initModel shapes the sweep's model into bm, returning the window's
 // block dimensions, or an error wrapping ErrScanGeometry.
 func (s windowSweep) initModel(bm *svm.BlockModel) (bw, bh int, err error) {
-	if cell := s.Cfg.CellSize; cell <= 0 || s.Stride <= 0 || s.Stride%cell != 0 {
-		return 0, 0, fmt.Errorf("%w: stride %d is not a multiple of the %d-px cell", ErrScanGeometry, s.Stride, cell) // lint:alloc cold error path; a misconfigured detector, not a steady-state frame
+	if err := s.checkStride(); err != nil {
+		return 0, 0, err
 	}
 	if s.Model == nil {
 		return 0, 0, fmt.Errorf("%w: no model", ErrScanGeometry) // lint:alloc cold error path; a misconfigured detector, not a steady-state frame
@@ -123,12 +132,14 @@ func (s windowSweep) check() error {
 type rowTask struct{ level, y int }
 
 // rowScratch is the per-worker scratch of the window-row loop: the
-// row's candidate anchors, the scorer's working set and the cached
-// detections a partially dirty row keeps. It lives in the pooled
-// scanScratch, so its buffers survive from sweep to sweep.
+// row's candidate anchors, the scorer's working set, the cached
+// detections a partially dirty row keeps, and the worker's detection
+// arena, which every row the worker scores appends to. It lives in the
+// stack's scanScratch, so its buffers survive from sweep to sweep.
 type rowScratch struct {
 	cands []int
 	kept  []Detection
+	dets  []Detection
 	row   svm.RowScratch
 }
 
@@ -168,27 +179,45 @@ func scanPositions(size, win, stride int) int {
 	return (size-win)/stride + 1
 }
 
+// sweepJob is one sweep's window-row fan-out: everything a row task
+// reads, set once per sweep in the scan scratch.
+type sweepJob struct {
+	s         windowSweep
+	st        *FrameStack
+	sc        *scanScratch
+	m         *sweepModel
+	useQuant  bool
+	usePref   bool
+	serveRows bool // the temporal part holds last frame's rows
+	part      *sweepPart
+	spanCX    int // a window's cell rectangle
+	spanCY    int
+	tasks     []rowTask
+	results   [][]Detection
+}
+
 // run sweeps every pyramid level of the stack's open frame that the
-// window fits with the given worker count, returning detections in
-// deterministic level-major, raster order. It brings the stack up to
-// what the sweep reads first; tm (may be nil; written only on success)
-// receives the sweep's own stages.
+// window fits with the given worker count, leaving the detections in
+// deterministic level-major, raster order in sc.all, which it returns
+// (valid until sc is reused). It brings the stack up to what the
+// sweep reads first; tm (may be nil; written only on success) receives
+// the sweep's own stages.
 //
 // lint:hotpath
-func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *ScanTimings) ([]Detection, error) {
+func (s windowSweep) run(ctx context.Context, st *FrameStack, sc *scanScratch, workers int, tm *ScanTimings) ([]Detection, error) {
 	workers = par.Workers(workers)
-	sc := borrowScanScratch()
-	defer releaseScanScratch(sc)
-
-	bw, bh, err := s.initModel(&sc.bm)
+	if err := s.checkStride(); err != nil {
+		return nil, err
+	}
+	m, err := st.model(s)
 	if err != nil {
 		return nil, err
 	}
 	cell := s.Cfg.CellSize
 	// A quantizer Init failure (weights beyond the int16 range)
 	// silently keeps the float path: quantized scoring is a datapath
-	// model, not a different contract.
-	useQuant := s.Quantized && sc.qbm.Init(s.Model, bw, bh, s.blockLen(), s.Thresh) == nil
+	// model, not a different contract. A repeat Init is a no-op.
+	useQuant := s.Quantized && m.qbm.Init(s.Model, m.bm.BW, m.bm.BH, m.bm.BlockLen, s.Thresh) == nil
 	usePref := false
 	if s.Prefilter != nil {
 		pw, ph := s.Prefilter.Window()
@@ -219,10 +248,9 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 	// rows from the previous frame are reusable wherever the stack's
 	// dirty masks prove the inputs unchanged — and only if this same
 	// sweep produced them on that frame.
-	tc := st.tc
 	var part *sweepPart
 	prevPart := false
-	if tc != nil {
+	if tc := st.tc; tc != nil {
 		part = tc.part(sweepSig{
 			model: s.Model, cfg: s.Cfg,
 			winW: s.WinW, winH: s.WinH, stride: s.Stride,
@@ -245,11 +273,11 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 			NAX: scanPositions(level.W, s.WinW, s.Stride), NAY: scanPositions(level.H, s.WinH, s.Stride),
 			BlockStride: s.Cfg.BlockStride,
 		}
-		if err := sc.bm.CheckLattice(lat, len(bg.Data())); err != nil {
+		if err := m.bm.CheckLattice(lat, len(bg.Data())); err != nil {
 			return nil, err
 		}
 		if useQuant {
-			if err := sc.qbm.CheckLattice(lat, len(st.qgrids[i])); err != nil {
+			if err := m.qbm.CheckLattice(lat, len(st.qgrids[i])); err != nil {
 				return nil, err
 			}
 		}
@@ -272,130 +300,33 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 			k++
 		}
 	}
-	g := st.src
-	// Window-row reuse: with a cache holding the previous scan's rows
-	// (same signature, so the task list is identical), any row whose
-	// inputs are untouched this frame produces byte-identical
-	// detections — its scores are pure functions of blocks and pixels
-	// the dirty masks prove unchanged — so stage 3 serves the cached
-	// slice instead of rescoring the row.
-	serveRows := prevPart && len(part.rowDets) == nt
-	// A window's cell rectangle: the larger of its block span and its
-	// pixel span (the haar prefilter reads window pixels).
-	spanCX := max((bw-1)*s.Cfg.BlockStride+s.Cfg.BlockCells, (s.WinW+cell-1)/cell)
-	spanCY := max((bh-1)*s.Cfg.BlockStride+s.Cfg.BlockCells, (s.WinH+cell-1)/cell)
+	bw, bh := m.bm.BW, m.bm.BH
 	sc.beginWorkers(workers)
-	err = par.ForEachLocal(ctx, workers, nt, sc.newRow,
-		func(ti int, rs *rowScratch) {
-			rt := tasks[ti]
-			if serveRows && tc.rowServable(s.Cfg, rt.level, rt.y, s.WinH, bh) {
-				results[ti] = part.rowDets[ti]
-				return
-			}
-			level := st.levels[rt.level]
-			fx := float64(g.W) / float64(level.W)
-			fy := float64(g.H) / float64(level.H)
-			box := func(ax int) img.Rect {
-				x := ax * s.Stride
-				return img.Rect{
-					X0: int(float64(x) * fx),
-					Y0: int(float64(rt.y) * fy),
-					X1: int(float64(x+s.WinW) * fx),
-					Y1: int(float64(rt.y+s.WinH) * fy),
-				}
-			}
-			var it *haar.Integral
-			if usePref {
-				it = st.its[rt.level]
-			}
-			ay := rt.y / s.Stride
-			lat := sc.lats[rt.level]
-			blocks := st.grids[rt.level].Data()
-			// Per-window reuse inside a partially dirty level: a
-			// window whose cell rectangle the prefix proves clean kept
-			// its inputs, so last frame's verdict stands and its cached
-			// detection — if it had one — is kept instead of rescoring.
-			rowPartial := serveRows && tc.mode[rt.level] == tcPartial
-			var cached []Detection
-			cj := 0
-			if rowPartial {
-				cached = part.rowDets[ti]
-			}
-			cy0 := rt.y / cell
-			// serve reports whether the window at ax keeps last
-			// frame's verdict, appending its cached detection, if it
-			// had one, to rs.kept.
-			serve := func(ax int) bool {
-				if !rowPartial {
-					return false
-				}
-				cx0 := ax * lat.StepX
-				if !tc.cellRectClean(rt.level, cx0, cy0, cx0+spanCX, cy0+spanCY) {
-					return false
-				}
-				// Cached rows are in ascending-x order and box is a
-				// pure function of ax, so a pointer walk pairs this
-				// window with its previous detection, if any.
-				x0 := box(ax).X0
-				for cj < len(cached) && cached[cj].Box.X0 < x0 {
-					cj++
-				}
-				if cj < len(cached) && cached[cj].Box.X0 == x0 {
-					rs.kept = append(rs.kept, cached[cj]) // lint:alloc grows to the widest row once per pooled scratch
-					cj++
-				}
-				return true
-			}
-			// The row's candidates: windows neither served from the
-			// cache nor prefilter-rejected.
-			rs.cands, rs.kept = rs.cands[:0], rs.kept[:0]
-			for ax := 0; ax < lat.NAX; ax++ {
-				if serve(ax) || it != nil && !s.Prefilter.AcceptAt(it, ax*s.Stride, rt.y) {
-					continue
-				}
-				rs.cands = append(rs.cands, ax) // lint:alloc grows to the widest row once per pooled scratch
-			}
-			// Scored and kept detections merge in ascending x, the
-			// raster order of the row.
-			var dets []Detection
-			kept := rs.kept
-			emit := func(ax int, m float64) {
-				b := box(ax)
-				for len(kept) > 0 && kept[0].Box.X0 < b.X0 {
-					dets = append(dets, kept[0]) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
-					kept = kept[1:]
-				}
-				dets = append(dets, Detection{Box: b, Score: m, Kind: s.Kind}) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
-			}
-			if useQuant {
-				// Integer decisions; margins of the windows not
-				// rejected are resolved by the float model.
-				qblocks := st.qgrids[rt.level]
-				for _, ax := range rs.cands {
-					_, dec := sc.qbm.ScoreAt(qblocks, lat, ax, ay, true)
-					if m, ok := resolveQuant(&sc.bm, dec, blocks, lat, ax, ay, s.Thresh); ok {
-						emit(ax, m)
-					}
-				}
-			} else {
-				for _, sv := range sc.bm.EarlyMarginRow(blocks, lat, ay, rs.cands, s.Thresh, &rs.row) {
-					if sv.Margin > s.Thresh {
-						emit(sv.AX, sv.Margin)
-					}
-				}
-			}
-			results[ti] = append(dets, kept...) // lint:alloc detections are rare post-threshold events; no useful pre-size exists
-		})
+	sc.job = sweepJob{
+		s: s, st: st, sc: sc, m: m,
+		useQuant: useQuant, usePref: usePref,
+		// Window-row reuse: with a cache holding the previous scan's
+		// rows (same signature, so the task list is identical), any
+		// row whose inputs are untouched this frame produces
+		// byte-identical detections — its scores are pure functions of
+		// blocks and pixels the dirty masks prove unchanged — so the
+		// row task serves the cached slice instead of rescoring it.
+		serveRows: prevPart && part.rows.n() == nt,
+		part:      part,
+		// A window's cell rectangle: the larger of its block span and
+		// its pixel span (the haar prefilter reads window pixels).
+		spanCX: max((bw-1)*s.Cfg.BlockStride+s.Cfg.BlockCells, (s.WinW+cell-1)/cell),
+		spanCY: max((bh-1)*s.Cfg.BlockStride+s.Cfg.BlockCells, (s.WinH+cell-1)/cell),
+		tasks:  tasks, results: results,
+	}
+	err = sc.fan.Run(ctx, workers, nt, &sc.job)
+	sc.job = sweepJob{}
 	if err != nil {
 		return nil, err
 	}
-	total := 0
+	sc.all = sc.all[:0]
 	for _, r := range results {
-		total += len(r)
-	}
-	all := make([]Detection, 0, total)
-	for _, r := range results {
-		all = append(all, r...)
+		sc.all = append(sc.all, r...) // lint:alloc grows the detection buffer to its high-water mark
 	}
 	if part != nil {
 		part.storeRows(results, st.gen)
@@ -405,17 +336,131 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, workers int, tm *S
 		t.Quantized = useQuant
 		*tm = t
 	}
-	return all, nil
+	return sc.all, nil
 }
 
-// detect is run plus NMS, with errors attributed to the detector.
+// Do scores row task ti on worker w, appending the row's detections in
+// ascending x to the worker's arena and recording them as results[ti].
+//
+// lint:hotpath
+func (j *sweepJob) Do(w, ti int) {
+	s, st, sc, part := &j.s, j.st, j.sc, j.part
+	tc := st.tc
+	rt := j.tasks[ti]
+	if j.serveRows && tc.rowServable(s.Cfg, rt.level, rt.y, s.WinH, j.m.bm.BH) {
+		j.results[ti] = part.rows.row(ti)
+		return
+	}
+	rs := sc.rows[w]
+	g := st.src
+	level := st.levels[rt.level]
+	fx := float64(g.W) / float64(level.W)
+	fy := float64(g.H) / float64(level.H)
+	box := func(ax int) img.Rect {
+		x := ax * s.Stride
+		return img.Rect{
+			X0: int(float64(x) * fx),
+			Y0: int(float64(rt.y) * fy),
+			X1: int(float64(x+s.WinW) * fx),
+			Y1: int(float64(rt.y+s.WinH) * fy),
+		}
+	}
+	var it *haar.Integral
+	if j.usePref {
+		it = st.its[rt.level]
+	}
+	ay := rt.y / s.Stride
+	lat := sc.lats[rt.level]
+	blocks := st.grids[rt.level].Data()
+	// Per-window reuse inside a partially dirty level: a window whose
+	// cell rectangle the prefix proves clean kept its inputs, so last
+	// frame's verdict stands and its cached detection — if it had one
+	// — is kept instead of rescoring.
+	rowPartial := j.serveRows && tc.mode[rt.level] == tcPartial
+	var cached []Detection
+	cj := 0
+	if rowPartial {
+		cached = part.rows.row(ti)
+	}
+	cell := s.Cfg.CellSize
+	cy0 := rt.y / cell
+	// serve reports whether the window at ax keeps last frame's
+	// verdict, appending its cached detection, if it had one, to
+	// rs.kept.
+	serve := func(ax int) bool {
+		if !rowPartial {
+			return false
+		}
+		cx0 := ax * lat.StepX
+		if !tc.cellRectClean(rt.level, cx0, cy0, cx0+j.spanCX, cy0+j.spanCY) {
+			return false
+		}
+		// Cached rows are in ascending-x order and box is a pure
+		// function of ax, so a pointer walk pairs this window with its
+		// previous detection, if any.
+		x0 := box(ax).X0
+		for cj < len(cached) && cached[cj].Box.X0 < x0 {
+			cj++
+		}
+		if cj < len(cached) && cached[cj].Box.X0 == x0 {
+			rs.kept = append(rs.kept, cached[cj]) // lint:alloc grows to the widest row once per scratch
+			cj++
+		}
+		return true
+	}
+	// The row's candidates: windows neither served from the cache nor
+	// prefilter-rejected.
+	rs.cands, rs.kept = rs.cands[:0], rs.kept[:0]
+	for ax := 0; ax < lat.NAX; ax++ {
+		if serve(ax) || it != nil && !s.Prefilter.AcceptAt(it, ax*s.Stride, rt.y) {
+			continue
+		}
+		rs.cands = append(rs.cands, ax) // lint:alloc grows to the widest row once per scratch
+	}
+	// Scored and kept detections merge in ascending x, the raster
+	// order of the row.
+	start := len(rs.dets)
+	kept := rs.kept
+	emit := func(ax int, m float64) {
+		b := box(ax)
+		for len(kept) > 0 && kept[0].Box.X0 < b.X0 {
+			rs.dets = append(rs.dets, kept[0]) // lint:alloc grows the worker's detection arena to its high-water mark
+			kept = kept[1:]
+		}
+		rs.dets = append(rs.dets, Detection{Box: b, Score: m, Kind: s.Kind}) // lint:alloc grows the worker's detection arena to its high-water mark
+	}
+	if j.useQuant {
+		// Integer decisions; margins of the windows not rejected are
+		// resolved by the float model.
+		qblocks := st.qgrids[rt.level]
+		for _, ax := range rs.cands {
+			_, dec := j.m.qbm.ScoreAt(qblocks, lat, ax, ay, true)
+			if m, ok := resolveQuant(&j.m.bm, dec, blocks, lat, ax, ay, s.Thresh); ok {
+				emit(ax, m)
+			}
+		}
+	} else {
+		for _, sv := range j.m.bm.EarlyMarginRow(blocks, lat, ay, rs.cands, s.Thresh, &rs.row) {
+			if sv.Margin > s.Thresh {
+				emit(sv.AX, sv.Margin)
+			}
+		}
+	}
+	rs.dets = append(rs.dets, kept...) // lint:alloc grows the worker's detection arena to its high-water mark
+	j.results[ti] = rs.dets[start:len(rs.dets):len(rs.dets)]
+}
+
+// detect is run plus NMS in the stack's scan scratch, with errors
+// attributed to the detector. The NMS survivors are the sweep's one
+// allocation.
 func (s windowSweep) detect(ctx context.Context, st *FrameStack, workers int, tm *ScanTimings,
 	nmsIoU float64, what string) ([]Detection, error) {
-	dets, err := s.run(ctx, st, workers, tm)
+	sc := &st.scan
+	dets, err := s.run(ctx, st, sc, workers, tm)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s detect: %w", what, err)
 	}
-	return NMS(dets, nmsIoU), nil
+	return sc.nms.run(dets, nmsIoU), nil
 }
 
 // detectOnce is every HOG detector's DetectTimedCtx: a one-sweep

@@ -1,62 +1,39 @@
 package pipeline
 
 import (
-	"sync"
-	"sync/atomic"
-
+	"advdet/internal/par"
 	"advdet/internal/svm"
 )
 
 // scanScratch owns every reusable buffer of one windowSweep.run
-// invocation that is not part of the frame stack: the block models,
-// anchor lattices, the task/result arenas and the window-row workers'
-// scratch. A scratch is borrowed from a process-wide pool for the duration of one sweep
-// and returned afterwards, so the steady-state frame loop recomputes
-// everything per frame but allocates (almost) nothing — the software
-// equivalent of the PL's statically provisioned window-evaluator
-// memories, which are rewritten every frame and never reallocated.
+// invocation that is not part of the frame stack's products: the anchor
+// lattices, the task/result arenas, the window-row workers' scratch and
+// detection arenas, the assembled detection list, NMS's working set
+// and the row fan-out. The frame stack owns one, and its sweeps run
+// one after another, so the steady-state frame loop recomputes
+// everything per frame but allocates nothing beyond the NMS survivors
+// it hands to the caller — the software equivalent of the PL's
+// statically provisioned window-evaluator memories, which are
+// rewritten every frame and never reallocated. Owned rather than
+// pooled: a sync.Pool hands a goroutine that moved to another P a
+// fresh scratch to regrow, and drops its scratches at GC.
 //
-// Nothing borrowed from the pool escapes a sweep: detections handed
-// to the caller are always freshly assembled.
+// Results alias only the scratch's own arenas and the stack's
+// temporal rows; detections handed to the caller are always freshly
+// assembled.
 type scanScratch struct {
-	bm      svm.BlockModel
-	qbm     svm.QuantBlockModel
 	lats    []svm.Lattice // per-level anchor lattices
 	tasks   []rowTask
-	results [][]Detection
+	results [][]Detection // per row task; aliases a worker arena or the temporal part
 	rows    []*rowScratch // one per window-row worker
-	nextRow atomic.Int32  // rows handed out this sweep
-	// newRow is worker as a func value, bound once per pooled scratch
-	// rather than once per sweep.
-	newRow func() *rowScratch
-}
-
-var scanPool = sync.Pool{New: func() any {
-	s := new(scanScratch)
-	s.newRow = s.worker
-	return s
-}}
-
-func borrowScanScratch() *scanScratch { return scanPool.Get().(*scanScratch) }
-
-func releaseScanScratch(s *scanScratch) {
-	// Drop detection references so the pool doesn't pin row output from
-	// past frames; the slice headers themselves are reused. The clear
-	// must run over the full capacity, not just the current length: a
-	// scan with fewer row tasks than its predecessor shrinks
-	// len(s.results), and rows of the larger frame parked in
-	// [len, cap) would otherwise keep their detection slices — and the
-	// frames those boxes came from — reachable for as long as the
-	// scratch stays pooled.
-	res := s.results[:cap(s.results)]
-	for i := range res {
-		res[i] = nil
-	}
-	scanPool.Put(s) // lint:alloc sync.Pool.Put boxes once per scan, not per window
+	all     []Detection   // every row's detections in task order
+	nms     nmsScratch
+	fan     par.Fanout
+	job     sweepJob
 }
 
 // setLevels grows the per-level lattice arena to hold n levels and
-// clears every entry beyond n: a pyramid that shrinks between borrows
+// clears every entry beyond n: a pyramid that shrinks between sweeps
 // (smaller frame, larger MinSize) must not leave the previous sweep's
 // lattices looking current to a later reader.
 func (s *scanScratch) setLevels(n int) {
@@ -67,18 +44,14 @@ func (s *scanScratch) setLevels(n int) {
 }
 
 // beginWorkers readies one row scratch per window-row worker of the
-// coming sweep; worker hands them out.
+// coming sweep, its detection arena emptied.
 func (s *scanScratch) beginWorkers(n int) {
 	for len(s.rows) < n {
-		s.rows = append(s.rows, new(rowScratch)) // lint:alloc grows to the worker count once per pooled scratch
+		s.rows = append(s.rows, new(rowScratch)) // lint:alloc grows to the worker count once per scratch
 	}
-	s.nextRow.Store(0)
-}
-
-// worker hands the next window-row worker its scratch: the
-// par.ForEachLocal local constructor, called once per worker.
-func (s *scanScratch) worker() *rowScratch {
-	return s.rows[s.nextRow.Add(1)-1]
+	for _, rs := range s.rows[:n] {
+		rs.dets = rs.dets[:0]
+	}
 }
 
 // setTasks sizes the task and result arenas for n row tasks and
@@ -94,4 +67,40 @@ func (s *scanScratch) setTasks(n int) ([]rowTask, [][]Detection) {
 	}
 	s.results = s.results[:n]
 	return s.tasks, s.results
+}
+
+// sweepModel is one sweep's model reshaped for block scoring: the float
+// block model and, once a quantized sweep asks, the quantized one. The
+// frame stack keeps one per model and window geometry it sweeps, so
+// sweeps that alternate over one stack — vehicle and pedestrian —
+// reshape nothing after their first frame.
+type sweepModel struct {
+	model *svm.Model
+	bm    svm.BlockModel
+	qbm   svm.QuantBlockModel
+}
+
+// maxSweepModels bounds the reshaped models one stack keeps: a System
+// sweeps at most three models (day, dusk, pedestrian) over its stack.
+const maxSweepModels = 4
+
+// model returns s's reshaped model, shaping it on the stack's first
+// sweep of that model and window geometry, or an error wrapping
+// ErrScanGeometry. Past maxSweepModels the oldest is dropped.
+func (st *FrameStack) model(s windowSweep) (*sweepModel, error) {
+	bw, bh := s.Cfg.BlocksFor(s.WinW, s.WinH)
+	for _, m := range st.models {
+		if m.model == s.Model && m.bm.BW == bw && m.bm.BH == bh && m.bm.BlockLen == s.blockLen() {
+			return m, nil
+		}
+	}
+	m := &sweepModel{model: s.Model} // lint:alloc once per model and geometry a stack sweeps
+	if _, _, err := s.initModel(&m.bm); err != nil {
+		return nil, err
+	}
+	if len(st.models) == maxSweepModels {
+		st.models = append(st.models[:0], st.models[1:]...)
+	}
+	st.models = append(st.models, m) // lint:alloc grows to maxSweepModels once per stack
+	return m, nil
 }

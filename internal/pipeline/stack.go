@@ -74,6 +74,46 @@ type FrameStack struct {
 	level0Aliased bool
 
 	tm ScanTimings // front-end stages of the current frame
+
+	models []*sweepModel // reshaped models of the sweeps over this stack
+	scan   scanScratch   // the sweeps' working memory
+	dark   darkScratch   // the dark pipeline's, for DetectStackCtx
+
+	fan par.Fanout // fans gray bands and level resizes out
+	job stackJob   // the stage fan is running
+}
+
+// stackJob is one of the frame stack's own fan-outs: the gray
+// conversion's row bands (frame set) or the pyramid resize of levels
+// lo and up (frame nil).
+type stackJob struct {
+	st    *FrameStack
+	frame *img.RGB
+	bands int
+	lo    int
+}
+
+// Do converts band i, or resizes level lo+i.
+//
+// lint:hotpath
+func (j *stackJob) Do(_, i int) {
+	st := j.st
+	if f := j.frame; f != nil {
+		img.RGBToGrayRows(st.gray, f, f.H*i/j.bands, f.H*(i+1)/j.bands)
+		return
+	}
+	i += j.lo
+	st.levels[i] = img.ResizeGrayInto(st.levels[i], st.src, st.sizes[i][0], st.sizes[i][1])
+}
+
+// run fans j over n indices on the stack's own fan-out, dropping the
+// job's reference to the caller's frame afterwards.
+func (st *FrameStack) run(ctx context.Context, workers, n int, j stackJob) error {
+	st.job = j
+	st.job.st = st
+	err := st.fan.Run(ctx, workers, n, &st.job)
+	st.job = stackJob{}
+	return err
 }
 
 // errNoFrame reports a sweep over a stack with no open frame.
@@ -108,9 +148,8 @@ func (st *FrameStack) Begin(src *img.Gray) {
 }
 
 // grayBandPixels is the least a gray-conversion band is given. Below
-// it the fan-out's goroutines and allocations cost more than the band
-// saves, so frames under two bands (640x360 included) convert on the
-// calling goroutine, allocation-free.
+// it the fan-out's goroutines cost more than the band saves, so frames
+// under two bands (640x360 included) convert on the calling goroutine.
 const grayBandPixels = 1 << 18
 
 // BeginRGB opens a new frame over an RGB frame: it is converted to
@@ -127,9 +166,7 @@ func (st *FrameStack) BeginRGB(frame *img.RGB, workers int) *img.Gray {
 	if bands <= 1 {
 		img.RGBToGrayRows(g, frame, 0, frame.H)
 	} else {
-		_ = par.ForEach(context.Background(), bands, bands, func(b int) { // lint:ctxroot a few ms of pixel work per frame; not worth a cancellation point
-			img.RGBToGrayRows(g, frame, frame.H*b/bands, frame.H*(b+1)/bands)
-		})
+		_ = st.run(context.Background(), bands, bands, stackJob{frame: frame, bands: bands}) // lint:ctxroot a few ms of pixel work per frame; not worth a cancellation point
 	}
 	st.Begin(g)
 	return g
@@ -248,10 +285,7 @@ func (st *FrameStack) ensure(ctx context.Context, workers int, need stackNeeds) 
 			st.levels[0] = st.src
 			lo = 1
 		}
-		if err := par.ForEach(ctx, workers, nl-lo, func(i int) {
-			i += lo
-			st.levels[i] = img.ResizeGrayInto(st.levels[i], st.src, st.sizes[i][0], st.sizes[i][1])
-		}); err != nil {
+		if err := st.run(ctx, workers, nl-lo, stackJob{lo: lo}); err != nil {
 			return 0, err
 		}
 		st.built = nl

@@ -58,15 +58,41 @@ type TemporalCache struct {
 	stats TemporalStats // cumulative since construction / Invalidate
 }
 
-// sweepPart is one sweep's cross-frame state: its stage-3 window-row
-// detections, one slice per row task (the task list is a pure function
-// of the signature, so the task index is stable across frames).
+// sweepPart is one sweep's cross-frame state: its window-row
+// detections, one row per row task (the task list is a pure function
+// of the signature, so the task index is stable across frames). The
+// rows are double-buffered: a frame serves from rows while storeRows
+// writes that frame's rows into spare, and the two then swap.
 type sweepPart struct {
 	sig sweepSig
 	// gen is the stack generation of the frame the rows were computed
 	// on (0 = none).
-	gen     uint64
-	rowDets [][]Detection
+	gen         uint64
+	rows, spare partRows
+}
+
+// partRows is one frame's window rows in one flat buffer: row ti is
+// dets[end[ti-1]:end[ti]] (from 0 for the first row).
+type partRows struct {
+	dets []Detection
+	end  []int
+}
+
+// n returns the number of rows held.
+func (r *partRows) n() int { return len(r.end) }
+
+// row returns row ti's detections. The slice aliases the buffer.
+func (r *partRows) row(ti int) []Detection {
+	lo := 0
+	if ti > 0 {
+		lo = r.end[ti-1]
+	}
+	return r.dets[lo:r.end[ti]:r.end[ti]]
+}
+
+// reset empties the buffer, keeping its capacity.
+func (r *partRows) reset() {
+	r.dets, r.end = r.dets[:0], r.end[:0]
 }
 
 // maxSweepParts bounds the sweep parts one cache keeps: a System runs
@@ -184,7 +210,8 @@ func (tc *TemporalCache) part(sig sweepSig) *sweepPart {
 		lru = new(sweepPart) // lint:alloc once per sweep signature
 		tc.sweeps = append(tc.sweeps, lru)
 	}
-	*lru = sweepPart{sig: sig, rowDets: lru.rowDets[:0]}
+	lru.sig, lru.gen = sig, 0
+	lru.rows.reset()
 	return lru
 }
 
@@ -320,17 +347,19 @@ func (tc *TemporalCache) rowServable(c hog.Config, level, y, winH, bh int) bool 
 	}
 }
 
-// storeRows retains stage 3's per-row output for the next frame's
-// reuse and stamps the part with the frame it describes. Only the
-// slice headers are copied out of the pooled results arena; the
-// backing arrays are freshly appended by each sweep, never pooled, so
-// holding them across frames is safe.
+// storeRows copies this frame's per-row output into the spare buffer
+// — results may alias the current one, which this frame served from —
+// makes it current and stamps the part with the frame it describes.
+//
+// lint:hotpath
 func (sp *sweepPart) storeRows(results [][]Detection, gen uint64) {
-	if cap(sp.rowDets) < len(results) {
-		sp.rowDets = make([][]Detection, len(results)) // lint:alloc sized once per signature
+	next := &sp.spare
+	next.reset()
+	for _, r := range results {
+		next.dets = append(next.dets, r...)         // lint:alloc grows to the high-water mark once per signature
+		next.end = append(next.end, len(next.dets)) // lint:alloc grows to the task count once per signature
 	}
-	sp.rowDets = sp.rowDets[:len(results)]
-	copy(sp.rowDets, results)
+	sp.rows, sp.spare = sp.spare, sp.rows
 	sp.gen = gen
 }
 

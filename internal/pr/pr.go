@@ -107,7 +107,7 @@ func MeasureN(ctrl Controller, bytes, repeats int) (Result, error) {
 // platform state is touched.
 func checkSize(name string, bytes int) error {
 	if bytes <= 0 {
-		return fmt.Errorf("pr: %s: bitstream size must be positive, got %d", name, bytes)
+		return fmt.Errorf("pr: %s: bitstream size must be positive, got %d", name, bytes) // lint:alloc cold error path; a failed or misissued reconfiguration
 	}
 	return nil
 }
@@ -323,10 +323,10 @@ func (d *DMAICAP) Staged(id string) bool { _, ok := d.staged[id]; return ok }
 func (d *DMAICAP) Verify(id string) error {
 	img, ok := d.staged[id]
 	if !ok {
-		return fmt.Errorf("pr: dma-icap: bitstream %q: %w", id, ErrNotStaged)
+		return fmt.Errorf("pr: dma-icap: bitstream %q: %w", id, ErrNotStaged) // lint:alloc cold error path; a failed or misissued reconfiguration
 	}
 	if img.memCRC != img.goldCRC {
-		return fmt.Errorf("pr: dma-icap: bitstream %q: crc %#08x != %#08x: %w",
+		return fmt.Errorf("pr: dma-icap: bitstream %q: crc %#08x != %#08x: %w", // lint:alloc cold error path; a failed or misissued reconfiguration
 			id, img.memCRC, img.goldCRC, ErrVerify)
 	}
 	return nil
@@ -359,10 +359,10 @@ func (d *DMAICAP) Reconfigure(z *soc.Zynq, bytes int, done func()) error {
 	}
 	d.bind(z)
 	if d.dma.Busy() {
-		return fmt.Errorf("pr: dma-icap: %w", ErrBusy)
+		return fmt.Errorf("pr: dma-icap: %w", ErrBusy) // lint:alloc cold error path; a failed or misissued reconfiguration
 	}
 	d.onDone = done
-	z.Trace.Record(z.Sim.Now(), "dma-icap", "reconfig-start", fmt.Sprintf("%d bytes", bytes))
+	z.Trace.Record(z.Sim.Now(), "dma-icap", "reconfig-start", fmt.Sprintf("%d bytes", bytes)) // lint:alloc one detail per reconfiguration, not per frame
 	return driveDMA(d.dma, bytes)
 }
 

@@ -23,7 +23,7 @@ type BurstLink struct {
 func (l *BurstLink) validate() {
 	if l.WidthBytes <= 0 || l.BurstBeats <= 0 || l.OverheadCycles < 0 {
 		// lint:invariant links are package-internal literals pinned by the package tests
-		panic(fmt.Sprintf("soc: invalid link %q: %+v", l.Name, *l))
+		panic(fmt.Sprintf("soc: invalid link %q: %+v", l.Name, *l)) // lint:alloc invariant panic path
 	}
 }
 

@@ -13,10 +13,7 @@
 // lint:simtime
 package soc
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Sim is a discrete-event simulator with picosecond resolution.
 // The zero value is ready to use.
@@ -32,22 +29,54 @@ type simEvent struct {
 	fn  func()
 }
 
+// eventQueue is a binary min-heap of events ordered by (at, seq). It
+// holds simEvent values directly, so pushing and popping box nothing.
 type eventQueue []simEvent
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(simEvent)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
+
+// push adds e, sifting it up to its place.
+func (q *eventQueue) push(e simEvent) {
+	*q = append(*q, e) // lint:alloc grows the event queue to its high-water mark once
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop removes and returns the earliest event. The queue must not be
+// empty.
+func (q *eventQueue) pop() simEvent {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e := h[n]
+	h[n] = simEvent{} // the popped callback is not pinned by the backing array
+	*q = h[:n]
 	return e
 }
 
@@ -56,15 +85,15 @@ func (s *Sim) Now() uint64 { return s.now }
 
 // Schedule runs fn after delay picoseconds of simulated time.
 func (s *Sim) Schedule(delay uint64, fn func()) {
-	heap.Push(&s.queue, simEvent{at: s.now + delay, seq: s.seq, fn: fn})
+	s.queue.push(simEvent{at: s.now + delay, seq: s.seq, fn: fn})
 	s.seq++
 }
 
 // Run processes events until the queue is empty and returns the final
 // simulated time.
 func (s *Sim) Run() uint64 {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(simEvent)
+	for len(s.queue) > 0 {
+		e := s.queue.pop()
 		s.now = e.at
 		e.fn()
 	}
@@ -75,8 +104,8 @@ func (s *Sim) Run() uint64 {
 // scheduled during execution included), then sets the clock to the
 // deadline if it has not advanced past it.
 func (s *Sim) RunUntil(deadline uint64) {
-	for s.queue.Len() > 0 && s.queue[0].at <= deadline {
-		e := heap.Pop(&s.queue).(simEvent)
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
+		e := s.queue.pop()
 		s.now = e.at
 		e.fn()
 	}
@@ -86,7 +115,7 @@ func (s *Sim) RunUntil(deadline uint64) {
 }
 
 // Pending reports the number of queued events.
-func (s *Sim) Pending() int { return s.queue.Len() }
+func (s *Sim) Pending() int { return len(s.queue) }
 
 // Clock is a frequency domain.
 type Clock struct {
@@ -98,7 +127,7 @@ type Clock struct {
 func (c Clock) PeriodPS() uint64 {
 	if c.FreqHz == 0 {
 		// lint:invariant clocks are package constants; zero frequency is a construction bug
-		panic(fmt.Sprintf("soc: clock %q has zero frequency", c.Name))
+		panic(fmt.Sprintf("soc: clock %q has zero frequency", c.Name)) // lint:alloc invariant panic path
 	}
 	return 1_000_000_000_000 / c.FreqHz
 }

@@ -48,7 +48,7 @@ func (ic *IRQController) Register(irq int, fn func()) {
 func (ic *IRQController) Raise(irq int) {
 	if irq < 0 || irq >= numIRQs {
 		// lint:invariant IRQ lines are package constants; out-of-range is a wiring bug
-		panic(fmt.Sprintf("soc: invalid IRQ %d", irq))
+		panic(fmt.Sprintf("soc: invalid IRQ %d", irq)) // lint:alloc invariant panic path
 	}
 	ic.raised[irq]++
 	if ic.fault.OnIRQ(irq) {
@@ -125,7 +125,20 @@ type Zynq struct {
 	// Detection pipelines.
 	VehiclePipe    PipelineModel
 	PedestrianPipe PipelineModel
+
+	// StreamFrame's recycled completions and its last frame-start
+	// detail, so a steady-state frame allocates neither.
+	freeDone   []*frameDone
+	geomW      int
+	geomH      int
+	geomDetail string
 }
+
+// TraceEvents bounds the platform tracer NewZynq installs: the most
+// recent events of about a thousand frames at the adaptive system's
+// four a frame. A caller that wants a whole run's trace lifts it with
+// Trace.Unbound.
+const TraceEvents = 4096
 
 // SetFaultPlan installs the fault injector on the platform's shared
 // infrastructure (currently the interrupt controller; DMA engines and
@@ -139,7 +152,7 @@ func NewZynq() *Zynq {
 	return &Zynq{
 		Sim:            sim,
 		IRQ:            NewIRQController(sim),
-		Trace:          &trace.Tracer{},
+		Trace:          trace.New(TraceEvents),
 		HP0:            NewHPPort("hp0"),
 		HP1:            NewHPPort("hp1"),
 		HP2:            NewHPPort("hp2"),
@@ -171,13 +184,50 @@ func (z *Zynq) StreamFrame(pipe PipelineModel, w, h, bytesPerPixel int, hp *Burs
 		finish = pipeFinish
 	}
 	finish += pipe.Clk.CyclesPS(2048) // pipeline fill/drain latency
-	z.Trace.Record(z.Sim.Now(), pipe.Name, "frame-start", fmt.Sprintf("%dx%d", w, h))
-	z.Sim.Schedule(finish-z.Sim.Now(), func() {
-		z.Trace.Record(z.Sim.Now(), pipe.Name, "frame-done", "")
-		z.IRQ.Raise(irq)
-		if done != nil {
-			done()
-		}
-	})
+	if w != z.geomW || h != z.geomH || z.geomDetail == "" {
+		z.geomW, z.geomH, z.geomDetail = w, h, fmt.Sprintf("%dx%d", w, h) // lint:alloc formatted once per frame geometry, not per frame
+	}
+	z.Trace.Record(z.Sim.Now(), pipe.Name, "frame-start", z.geomDetail)
+	d := z.takeDone()
+	d.name, d.irq, d.done = pipe.Name, irq, done
+	z.Sim.Schedule(finish-z.Sim.Now(), d.fire)
 	return finish
+}
+
+// frameDone is one pending StreamFrame completion. Completions are
+// recycled through the platform's free list, each with its fire
+// callback bound once, so scheduling one allocates nothing in steady
+// state.
+type frameDone struct {
+	z    *Zynq
+	name string
+	irq  int
+	done func()
+	fire func() // run, bound once
+}
+
+// takeDone returns a free completion, making one when none is free.
+func (z *Zynq) takeDone() *frameDone {
+	if n := len(z.freeDone); n > 0 {
+		d := z.freeDone[n-1]
+		z.freeDone = z.freeDone[:n-1]
+		return d
+	}
+	d := &frameDone{z: z}
+	d.fire = d.run
+	return d
+}
+
+// run completes the frame: the trace record, the DMA completion IRQ,
+// then the caller's callback. The completion is free again before the
+// callback runs, which may stream another frame.
+func (d *frameDone) run() {
+	z, done := d.z, d.done
+	z.Trace.Record(z.Sim.Now(), d.name, "frame-done", "")
+	z.IRQ.Raise(d.irq)
+	d.done = nil
+	z.freeDone = append(z.freeDone, d) // lint:alloc grows the completion free list to the frames in flight once
+	if done != nil {
+		done()
+	}
 }

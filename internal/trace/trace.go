@@ -20,31 +20,65 @@ type Event struct {
 	Detail string
 }
 
-// Tracer collects events. The zero value is ready to use; it is safe
-// for concurrent use.
+// Tracer collects events. The zero value is ready to use and keeps
+// every event; a tracer made by New keeps only the most recent ones.
+// It is safe for concurrent use.
 type Tracer struct {
 	mu     sync.Mutex
 	events []Event
+	// limit bounds len(events) (0: unbounded). Once full, events is a
+	// ring whose oldest entry is at head.
+	limit int
+	head  int
 }
 
-// Record appends an event.
+// New returns a tracer that keeps the most recent limit events,
+// overwriting the oldest once full, so a long-running platform's trace
+// stays a fixed size; limit <= 0 keeps every event.
+func New(limit int) *Tracer {
+	return &Tracer{limit: max(limit, 0)}
+}
+
+// Record appends an event, overwriting the oldest one when the tracer
+// is bounded and full.
 func (t *Tracer) Record(ps uint64, source, name, detail string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events = append(t.events, Event{PS: ps, Source: source, Name: name, Detail: detail})
+	e := Event{PS: ps, Source: source, Name: name, Detail: detail}
+	if t.limit > 0 && len(t.events) == t.limit {
+		t.events[t.head] = e
+		t.head = (t.head + 1) % t.limit
+		return
+	}
+	t.events = append(t.events, e) // lint:alloc grows to the tracer's bound once; a bounded tracer then overwrites in place
 }
 
-// Events returns a copy of all recorded events in time order.
+// Unbound makes the tracer keep every event from now on, starting from
+// the events it retains.
+func (t *Tracer) Unbound() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.events, t.head, t.limit = t.ordered(), 0, 0
+}
+
+// ordered returns the retained events in record order, oldest first,
+// in a fresh slice. The caller holds t.mu.
+func (t *Tracer) ordered() []Event {
+	out := make([]Event, 0, len(t.events))
+	out = append(out, t.events[t.head:]...)
+	return append(out, t.events[:t.head]...)
+}
+
+// Events returns a copy of the retained events in time order.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
+	out := t.ordered()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].PS < out[j].PS })
 	return out
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of retained events.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -55,7 +89,7 @@ func (t *Tracer) Len() int {
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.events = nil
+	t.events, t.head = nil, 0
 }
 
 // Span returns the time between the first event named start and the
@@ -88,7 +122,7 @@ func (t *Tracer) Count(name string) int {
 	return n
 }
 
-// WriteCSV dumps all events as CSV (ps,source,name,detail).
+// WriteCSV dumps the retained events as CSV (ps,source,name,detail).
 func (t *Tracer) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "ps,source,name,detail"); err != nil {
 		return err

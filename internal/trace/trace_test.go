@@ -91,3 +91,32 @@ func TestConcurrentRecord(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 }
+
+// TestBoundedKeepsMostRecent: a bounded tracer keeps its newest events
+// in time order, and Unbound lifts the bound without losing what is
+// retained.
+func TestBoundedKeepsMostRecent(t *testing.T) {
+	tr := New(4)
+	for ps := uint64(1); ps <= 10; ps++ {
+		tr.Record(ps, "s", "e", "")
+	}
+	evs := tr.Events()
+	if len(evs) != 4 {
+		t.Fatalf("bounded tracer holds %d events, want 4", len(evs))
+	}
+	for i, e := range evs {
+		if e.PS != uint64(7+i) {
+			t.Fatalf("event %d at %d ps, want %d: %+v", i, e.PS, 7+i, evs)
+		}
+	}
+	tr.Unbound()
+	for ps := uint64(11); ps <= 20; ps++ {
+		tr.Record(ps, "s", "e", "")
+	}
+	if tr.Len() != 14 {
+		t.Fatalf("unbounded tracer holds %d events, want 14", tr.Len())
+	}
+	if evs := tr.Events(); evs[0].PS != 7 || evs[13].PS != 20 {
+		t.Fatalf("lifted tracer lost its retained events: first %d last %d", evs[0].PS, evs[13].PS)
+	}
+}

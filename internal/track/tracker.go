@@ -69,6 +69,12 @@ type Tracker struct {
 	Cfg    Config
 	tracks []*Track
 	nextID int
+
+	// Update's reused working set: the live tracks, the matched
+	// detections and the assignment solver.
+	live    []*Track
+	matched []bool
+	hung    hungarian
 }
 
 // NewTracker returns an empty tracker.
@@ -112,31 +118,43 @@ func (tr *Tracker) Confirmed() []*Track {
 // coast unmatched, spawn new tracks for unmatched detections.
 func (tr *Tracker) Update(dets []pipeline.Detection) {
 	// Predict.
-	live := tr.Tracks()
+	live := tr.live[:0]
+	for _, t := range tr.tracks {
+		if t.State != Deleted {
+			live = append(live, t) // lint:alloc grows the reused live list to the track high-water mark
+		}
+	}
+	tr.live = live
 	for _, t := range live {
 		t.KF.Predict()
 		t.Age++
 	}
 
-	matchedDet := make([]bool, len(dets))
+	matchedDet := grow(tr.matched, len(dets))
+	tr.matched = matchedDet
+	clear(matchedDet)
 	if len(live) > 0 && len(dets) > 0 {
+		// The live x dets costs, padded to a square: gated and absent
+		// pairs cost pad, which no real assignment reaches.
 		const pad = 1e6
-		cost := make([][]float64, len(live))
-		for i, t := range live {
-			cost[i] = make([]float64, len(dets))
-			for j, d := range dets {
-				c := assocCost(t.Box(), d.Box)
-				if c > tr.Cfg.MaxIoUCost || t.Kind != d.Kind {
-					c = pad
+		n := max(len(live), len(dets))
+		sq := tr.hung.square(n)
+		for i := range n {
+			for j := range n {
+				c := pad
+				if i < len(live) && j < len(dets) {
+					t, d := live[i], dets[j]
+					if c = assocCost(t.Box(), d.Box); c > tr.Cfg.MaxIoUCost || t.Kind != d.Kind {
+						c = pad
+					}
 				}
-				cost[i][j] = c
+				sq[i*n+j] = c
 			}
 		}
-		square := padCosts(cost, len(live), len(dets), pad)
-		assign := Hungarian(square)
+		assign := tr.hung.solve(n)
 		for i, t := range live {
 			j := assign[i]
-			if j >= len(dets) || cost[i][j] >= pad {
+			if j >= len(dets) || sq[i*n+j] >= pad {
 				tr.miss(t)
 				continue
 			}
@@ -160,7 +178,7 @@ func (tr *Tracker) Update(dets []pipeline.Detection) {
 		if matchedDet[j] {
 			continue
 		}
-		tr.tracks = append(tr.tracks, &Track{
+		tr.tracks = append(tr.tracks, &Track{ // lint:alloc one track per newly seen object; tracks are the tracker's output
 			ID:    tr.nextID,
 			Kind:  d.Kind,
 			KF:    NewKalman(d.Box),
@@ -175,7 +193,7 @@ func (tr *Tracker) Update(dets []pipeline.Detection) {
 	kept := tr.tracks[:0]
 	for _, t := range tr.tracks {
 		if t.State != Deleted {
-			kept = append(kept, t)
+			kept = append(kept, t) // lint:alloc in-place filter over tr.tracks' own backing array; never grows it
 		}
 	}
 	tr.tracks = kept

@@ -133,26 +133,28 @@ func TestDetectionsByteIdenticalWithLedger(t *testing.T) {
 // Per-layer allocation budgets of one steady-state 160x90 frame at
 // two scan workers with the ledger on, each the measured count on
 // go1.24.0 (the toolchain go.mod pins). A frame's budget is their sum,
-// so a regression names the layer that grew.
+// so a regression names the layer that grew. A steady-state frame
+// allocates only the detection slices it hands to the caller.
 const (
 	// stackAllocBudget: BeginRGB's gray conversion into the stack's own
 	// buffer plus the pyramid, feature-map and block-grid build both
-	// sweeps read (par fan-out goroutines and their closures).
-	stackAllocBudget = 23
+	// sweeps read, every fan-out owned by its stage.
+	stackAllocBudget = 0
 	// vehicleSweepAllocBudget: the day model's window sweep over a built
-	// stack, NMS included.
-	vehicleSweepAllocBudget = 13
+	// stack, NMS included: at most its returned slice.
+	vehicleSweepAllocBudget = 1
 	// pedestrianSweepAllocBudget: the pedestrian window sweep over the
-	// same stack, NMS included.
-	pedestrianSweepAllocBudget = 9
-	// adaptiveAllocBudget: the adaptive frame loop and the ledger feed
-	// (reused encode buffer, arena-backed chain) without detection.
-	adaptiveAllocBudget = 8
+	// same stack, NMS included: at most its returned slice.
+	pedestrianSweepAllocBudget = 1
+	// adaptiveAllocBudget: the adaptive frame loop, the SoC model and
+	// the ledger feed (reused encode buffer, arena-backed chain)
+	// without detection.
+	adaptiveAllocBudget = 0
 	// darkAllocBudget: the dark pipeline over the gray plane the frame
-	// stack converted (DetectGrayCtx) of a dark frame with one lamp
-	// pair, in its pooled scratch: the DBN-sweep fan-out, light merge,
-	// pairing and NMS (the mask runs in one band at this size).
-	darkAllocBudget = 10
+	// stack converted, in the stack's scratch (DetectStackCtx), of a
+	// dark frame with one lamp pair: the DBN sweep, light merge,
+	// pairing and NMS, whose returned slice is the one allocation.
+	darkAllocBudget = 1
 )
 
 // TestProcessFrameAllocsWithLedger is the hot-path alloc gate with the
@@ -249,11 +251,11 @@ func TestDarkFrameAllocsWithLedger(t *testing.T) {
 	sc := RenderScene(500, 160, 90, Dark) // a lamp pair: pairing and NMS run
 	sc.Lux = 5
 	st := pipeline.NewFrameStack()
-	gray := st.BeginRGB(sc.Frame, workers)
+	st.BeginRGB(sc.Frame, workers)
 	var dets []Detection
 	dark := allocs(func() {
 		var err error
-		if dets, err = d.Dark.DetectGrayCtx(ctx, sc.Frame, gray, workers); err != nil {
+		if dets, err = d.Dark.DetectStackCtx(ctx, sc.Frame, st, workers); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -280,6 +282,45 @@ func TestDarkFrameAllocsWithLedger(t *testing.T) {
 	const frameBudget = stackAllocBudget + darkAllocBudget + pedestrianSweepAllocBudget + adaptiveAllocBudget
 	if got > frameBudget {
 		t.Fatalf("steady-state dark frame with ledger allocates %d objects, budget %d (sum of the layer budgets)", got, frameBudget)
+	}
+}
+
+// TestProcessFrame360pAllocs is the steady-state gate at 640x360 and
+// two scan workers: a many-level pyramid whose feature, block and
+// resize stages fan out, and a window sweep whose rows spread over
+// both workers, which 160x90 barely exercises. The frame may allocate
+// only the detection slices it returns.
+func TestProcessFrame360pAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	d := getDets(t)
+	for _, cond := range []Condition{Day, Dusk} {
+		sys, err := NewSystem(d, WithInitial(cond), WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := RenderScene(510, 640, 360, cond)
+		var res FrameResult
+		frame := func() {
+			var err error
+			if res, err = sys.ProcessFrame(sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			frame()
+		}
+		got := int(testing.AllocsPerRun(10, frame))
+		budget := 0
+		for _, dets := range [][]Detection{res.Vehicles, res.Pedestrians} {
+			if len(dets) > 0 {
+				budget++
+			}
+		}
+		if got > budget {
+			t.Errorf("%v: steady-state 640x360 frame allocates %d objects, budget %d (its non-empty detection slices)", cond, got, budget)
+		}
 	}
 }
 
