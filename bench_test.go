@@ -619,12 +619,12 @@ func BenchmarkDetectDayDusk(b *testing.B) {
 	}
 }
 
-// BenchmarkScanEarlyReject compares the sweep's two window
-// evaluators on the same 640x360 day scan: the float partial-margin
-// early exit ("early", the production default) and the fixed-point
-// datapath ("quantized"). Serial so the comparison is pure
-// arithmetic, not scheduling. Both produce identical detections.
-func BenchmarkScanEarlyReject(b *testing.B) {
+// BenchmarkScanLanes compares the sweep's two window evaluators on the
+// same 640x360 day scan: the float response planes ("plane", the
+// production default) and the fixed-point datapath ("quantized").
+// Serial so the comparison is pure arithmetic, not scheduling. Both
+// produce identical detections.
+func BenchmarkScanLanes(b *testing.B) {
 	day, _, _ := benchDetectors(b)
 	sc := synth.RenderScene(synth.NewRNG(9), synth.DefaultSceneConfig(640, 360, synth.Day))
 	gray := img.RGBToGray(sc.Frame)
@@ -633,7 +633,7 @@ func BenchmarkScanEarlyReject(b *testing.B) {
 		name string
 		set  func(d *pipeline.DayDuskDetector)
 	}{
-		{"early", func(d *pipeline.DayDuskDetector) {}},
+		{"plane", func(d *pipeline.DayDuskDetector) {}},
 		{"quantized", func(d *pipeline.DayDuskDetector) { d.Quantized = true }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

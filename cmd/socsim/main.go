@@ -25,6 +25,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +33,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -41,21 +43,33 @@ import (
 	"advdet/internal/soc"
 	"advdet/internal/svm"
 	"advdet/internal/synth"
+	"advdet/internal/trace"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("socsim: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	frames := flag.Int("frames", 200, "frames to simulate")
-	fps := flag.Int("fps", 50, "camera frame rate")
-	csvPath := flag.String("csv", "", "write the full event trace as CSV")
-	metricsOut := flag.String("metrics", "", "write frame-budget telemetry in Prometheus text format to this file (\"-\" for stdout)")
-	metricsJSON := flag.String("metrics-json", "", "write the telemetry snapshot as JSON to this file (\"-\" for stdout)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address for the run's duration")
-	faultSpec := flag.String("faults", "", "comma-separated fault rules for the reconfiguration datapath (see package doc)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for probabilistic (chaos) fault rules")
-	flag.Parse()
+// run parses args, drives the simulation and writes the report to out.
+// The report is a function of the flags alone: two runs with the same
+// flags print the same bytes.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("socsim", flag.ContinueOnError)
+	frames := fs.Int("frames", 200, "frames to simulate")
+	fps := fs.Int("fps", 50, "camera frame rate")
+	csvPath := fs.String("csv", "", "write the full event trace as CSV")
+	metricsOut := fs.String("metrics", "", "write frame-budget telemetry in Prometheus text format to this file (\"-\" for stdout)")
+	metricsJSON := fs.String("metrics-json", "", "write the telemetry snapshot as JSON to this file (\"-\" for stdout)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address for the run's duration")
+	faultSpec := fs.String("faults", "", "comma-separated fault rules for the reconfiguration datapath (see package doc)")
+	faultSeed := fs.Uint64("fault-seed", 1, "seed for probabilistic (chaos) fault rules")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -81,7 +95,7 @@ func main() {
 	if *faultSpec != "" {
 		var err error
 		if plan, err = parseFaults(*faultSpec, *faultSeed); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		opt.FaultPlan = plan
 		opt.EnableMetrics = true
@@ -98,7 +112,7 @@ func main() {
 	// per-stream state.
 	sys, err := adaptive.NewEngine(dets, adaptive.EngineConfig{}).NewSystem(opt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The summary and -csv report the whole drive, not the platform
 	// tracer's default window of recent events.
@@ -126,85 +140,98 @@ func main() {
 		sc := synth.RenderScene(rng.Split(), synth.SceneConfig{W: 64, H: 36, Cond: cond})
 		sc.Lux = lux
 		if _, err := sys.ProcessFrame(sc); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	st := sys.Stats()
-	fmt.Printf("simulated %d frames at %d fps (%.2f s of driving, %.2f ms simulated/frame slot)\n",
+	fmt.Fprintf(out, "simulated %d frames at %d fps (%.2f s of driving, %.2f ms simulated/frame slot)\n",
 		st.Frames, *fps, float64(st.Frames)/float64(*fps), 1000/float64(*fps))
-	fmt.Printf("model switches: %d, reconfigurations: %d, vehicle frames dropped: %d\n",
+	fmt.Fprintf(out, "model switches: %d, reconfigurations: %d, vehicle frames dropped: %d\n",
 		st.ModelSwitches, len(st.Reconfigs), st.VehicleDropped)
 
 	if plan != nil {
-		fmt.Printf("\nresilience: mode %s\n", sys.Mode())
-		fmt.Printf("  injected fault events: %d\n", len(plan.Events()))
-		fmt.Printf("  verify failures: %d, watchdog trips: %d, retries: %d, IRQs dropped: %d\n",
+		fmt.Fprintf(out, "\nresilience: mode %s\n", sys.Mode())
+		fmt.Fprintf(out, "  injected fault events: %d\n", len(plan.Events()))
+		fmt.Fprintf(out, "  verify failures: %d, watchdog trips: %d, retries: %d, IRQs dropped: %d\n",
 			st.VerifyFailures, st.WatchdogTrips, st.Retries, st.IRQsDropped)
-		fmt.Printf("  stale vehicle frames: %d, degraded frames: %d, bank-select faults: %d\n",
+		fmt.Fprintf(out, "  stale vehicle frames: %d, degraded frames: %d, bank-select faults: %d\n",
 			st.StaleVehicleFrames, st.DegradedFrames, st.BankSelectFaults)
 		for _, ev := range events.Kind(adaptive.EvFault) {
 			detail := "(observed from the platform drop counter)"
 			if ev.Fault.Err != nil {
 				detail = ev.Fault.Err.Error()
 			}
-			fmt.Printf("  fault @%8.2f ms frame %3d attempt %d [%s] -> %s: %s\n",
+			fmt.Fprintf(out, "  fault @%8.2f ms frame %3d attempt %d [%s] -> %s: %s\n",
 				soc.Seconds(ev.PS)*1e3, ev.Frame, ev.Fault.Attempt, ev.Fault.Code,
 				ev.Fault.Target, detail)
 		}
 		for _, ev := range events.Kind(adaptive.EvModeChange) {
-			fmt.Printf("  mode  @%8.2f ms frame %3d %s -> %s\n",
+			fmt.Fprintf(out, "  mode  @%8.2f ms frame %3d %s -> %s\n",
 				soc.Seconds(ev.PS)*1e3, ev.Frame, ev.ModeChange.From, ev.ModeChange.To)
 		}
 	}
 
-	// Event summary by (source, name).
-	type key struct{ src, name string }
-	counts := map[key]int{}
-	var firstPS, lastPS uint64
-	trEvents := sys.Z.Trace.Events()
-	for i, e := range trEvents {
-		counts[key{e.Source, e.Name}]++
-		if i == 0 {
-			firstPS = e.PS
-		}
-		lastPS = e.PS
-	}
-	fmt.Printf("\ntrace: %d events spanning %.2f ms\n", len(trEvents), soc.Seconds(lastPS-firstPS)*1e3)
-	fmt.Printf("  %-12s %-24s %s\n", "source", "event", "count")
-	for k, n := range counts {
-		fmt.Printf("  %-12s %-24s %d\n", k.src, k.name, n)
-	}
+	printTraceSummary(out, sys.Z.Trace.Events())
 
 	// Reconfiguration spans measured from the trace, the ILA-style
 	// measurement of §IV-A.
 	if ps, ok := sys.Z.Trace.Span("dma-icap", "reconfig-start", "reconfig-done"); ok {
-		fmt.Printf("\nreconfiguration span from trace: %.2f ms\n", soc.Seconds(ps)*1e3)
+		fmt.Fprintf(out, "\nreconfiguration span from trace: %.2f ms\n", soc.Seconds(ps)*1e3)
 	}
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := sys.Z.Trace.WriteCSV(f); err != nil {
-			log.Fatal(err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("full trace written to %s\n", *csvPath)
+		fmt.Fprintf(out, "full trace written to %s\n", *csvPath)
 	}
 
 	if *metricsOut != "" {
-		if err := writeTo(*metricsOut, sys.Metrics().WriteProm); err != nil {
-			log.Fatal(err)
+		if err := writeTo(out, *metricsOut, sys.Metrics().WriteProm); err != nil {
+			return err
 		}
 	}
 	if *metricsJSON != "" {
-		if err := writeTo(*metricsJSON, sys.Snapshot().WriteJSON); err != nil {
-			log.Fatal(err)
+		if err := writeTo(out, *metricsJSON, sys.Snapshot().WriteJSON); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// printTraceSummary writes the trace's span and its event counts by
+// (source, event), in that order.
+func printTraceSummary(out io.Writer, evs []trace.Event) {
+	type key struct{ src, name string }
+	counts := map[key]int{}
+	var keys []key
+	for _, e := range evs {
+		k := key{e.Source, e.Name}
+		if counts[k] == 0 {
+			keys = append(keys, k)
+		}
+		counts[k]++
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.name, b.name))
+	})
+	var span uint64
+	if len(evs) > 0 {
+		span = evs[len(evs)-1].PS - evs[0].PS
+	}
+	fmt.Fprintf(out, "\ntrace: %d events spanning %.2f ms\n", len(evs), soc.Seconds(span)*1e3)
+	fmt.Fprintf(out, "  %-12s %-24s %s\n", "source", "event", "count")
+	for _, k := range keys {
+		fmt.Fprintf(out, "  %-12s %-24s %d\n", k.src, k.name, counts[k])
 	}
 }
 
@@ -296,10 +323,10 @@ func parseFaults(spec string, seed uint64) (*fault.Plan, error) {
 	return plan, nil
 }
 
-// writeTo streams fn's output to the named file, or to stdout for "-".
-func writeTo(path string, fn func(w io.Writer) error) error {
+// writeTo streams fn's output to the named file, or to out for "-".
+func writeTo(out io.Writer, path string, fn func(w io.Writer) error) error {
 	if path == "-" {
-		return fn(os.Stdout)
+		return fn(out)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -309,6 +336,6 @@ func writeTo(path string, fn func(w io.Writer) error) error {
 		f.Close()
 		return err
 	}
-	fmt.Printf("telemetry written to %s\n", path)
+	fmt.Fprintf(out, "telemetry written to %s\n", path)
 	return f.Close()
 }

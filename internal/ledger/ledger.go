@@ -82,6 +82,10 @@ type Ledger struct {
 	batches []Batch
 	anchor  Hash
 	events  uint64
+	// tree is the seal's Merkle working set: the open batch's leaf
+	// hashes, reduced in place to the root. It grows to the largest
+	// batch and is reused by every seal.
+	tree []Hash
 }
 
 // New builds an empty ledger. The zero Config selects the defaults.
@@ -125,11 +129,11 @@ func (l *Ledger) sealLocked() {
 	if len(l.open) == 0 {
 		return
 	}
-	leaves := make([]Hash, len(l.open))
-	for i, r := range l.open {
-		leaves[i] = r.Leaf
+	l.tree = l.tree[:0]
+	for _, r := range l.open {
+		l.tree = append(l.tree, r.Leaf) // lint:alloc grows to the largest batch once per ledger
 	}
-	root := merkleRoot(leaves)
+	root := merkleRoot(l.tree)
 	l.anchor = anchorHash(l.anchor, root)
 	l.batches = append(l.batches, Batch{ // lint:alloc the ledger retains every event and batch by design; amortized growth
 		Index:   len(l.batches),
@@ -139,7 +143,9 @@ func (l *Ledger) sealLocked() {
 		LastPS:  l.open[len(l.open)-1].PS,
 		Leaves:  l.open,
 	})
-	l.open = nil // the sealed batch owns the slice now
+	// The sealed batch owns the slice now. The next batch's is
+	// allocated once, at this one's size, not regrown from nothing.
+	l.open = make([]LeafRef, 0, len(l.open)) // lint:alloc one leaf list per batch, retained by the batch it becomes
 }
 
 // SealOpen force-seals the open batch if it is non-empty — the

@@ -3,6 +3,7 @@ package ledger
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -58,7 +59,7 @@ func TestMerkleProofRoundTrip(t *testing.T) {
 			}
 			leaves[i] = leafHash(uint64(i), p[:])
 		}
-		root := merkleRoot(leaves)
+		root := merkleRoot(slices.Clone(leaves)) // merkleRoot reduces its argument in place
 		for idx := 0; idx < n; idx++ {
 			proof := Proof{LeafIndex: idx, LeafCount: n, Leaf: leaves[idx], Path: proofPath(leaves, idx)}
 			if !proof.Verify(root) {
@@ -361,6 +362,35 @@ func TestReadLogCaps(t *testing.T) {
 	}
 	if _, err := ReadLog(bytes.NewReader([]byte("NOTALEDG"))); !errors.Is(err, ErrLogFormat) {
 		t.Fatalf("bad magic parsed: %v", err)
+	}
+}
+
+// TestSealSteadyStateAllocs pins the seal path's allocations: with
+// batches sealing every 64 events, a steady-state batch allocates its
+// leaf list once, sized from the previous batch, and nothing else — the
+// Merkle reduction runs in the ledger's own scratch, and the batch list
+// grows geometrically (amortized, it shows up as a fraction).
+func TestSealSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const batch = 64
+	l := New(Config{MaxBatch: batch, MaxSpanPS: 1 << 62})
+	payload := bytes.Repeat([]byte{0xAB}, 64)
+	ps := uint64(0)
+	appendBatch := func() {
+		for i := 0; i < batch; i++ {
+			l.Append(0, ps, payload)
+			ps++
+		}
+	}
+	for i := 0; i < 64; i++ {
+		appendBatch()
+	}
+	avg := testing.AllocsPerRun(64, appendBatch)
+	t.Logf("%.2f allocations per sealed batch of %d events", avg, batch)
+	if avg > 1.5 {
+		t.Fatalf("a steady-state batch of %d events allocates %.2f objects, want 1 (its leaf list)", batch, avg)
 	}
 }
 

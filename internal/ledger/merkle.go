@@ -69,13 +69,14 @@ func anchorHash(anchor, root Hash) Hash {
 // merkleRoot computes the root over leaves with the promotion rule for
 // odd counts: a node without a sibling moves up a level unchanged (no
 // self-pairing, so the tree shape is a pure function of the count).
-// One leaf is its own root; zero leaves hash to the zero Hash.
+// One leaf is its own root; zero leaves hash to the zero Hash. Each
+// level is reduced into the front of the one below, so leaves is
+// overwritten: callers pass a slice they own.
 func merkleRoot(leaves []Hash) Hash {
 	if len(leaves) == 0 {
 		return Hash{}
 	}
-	level := make([]Hash, len(leaves))
-	copy(level, leaves)
+	level := leaves
 	for len(level) > 1 {
 		n := len(level) / 2
 		for i := 0; i < n; i++ {

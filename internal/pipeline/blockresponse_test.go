@@ -12,7 +12,7 @@ import (
 	"advdet/internal/synth"
 )
 
-// scanLane is one scoring lane of a sweep: the float early-reject or
+// scanLane is one scoring lane of a sweep: the float response-plane or
 // the quantized on-demand datapath, with the haar prefilter off or on.
 type scanLane struct{ quant, haar bool }
 
@@ -21,7 +21,7 @@ type scanLane struct{ quant, haar bool }
 var scanLanes = []scanLane{{false, false}, {true, false}, {false, true}, {true, true}}
 
 func (l scanLane) String() string {
-	name := "early"
+	name := "early" // the float lane, named for its scorer before response planes
 	if l.quant {
 		name = "quantized"
 	}
@@ -125,12 +125,53 @@ func scanCases(t *testing.T) []scanCase {
 	}
 }
 
+// blockMargins is the sweep's exact reference: the WindowMargin over
+// the frame stack's block grids of every window the sweep scores —
+// every anchor of every level, behind the prefilter when its window
+// matches — that clears the threshold, in level-major raster order.
+func blockMargins(t *testing.T, s windowSweep, g *img.Gray) []float64 {
+	t.Helper()
+	st := NewFrameStack()
+	st.Begin(g)
+	if _, err := s.run(context.Background(), st, &st.scan, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.model(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	usePref := false
+	if s.Prefilter != nil {
+		pw, ph := s.Prefilter.Window()
+		usePref = pw == s.WinW && ph == s.WinH
+	}
+	var out []float64
+	for i, lat := range st.scan.lats {
+		for ay := 0; ay < lat.NAY; ay++ {
+			for ax := 0; ax < lat.NAX; ax++ {
+				if usePref && !s.Prefilter.AcceptAt(st.its[i], ax*s.Stride, ay*s.Stride) {
+					continue
+				}
+				if margin := m.bm.WindowMargin(st.grids[i].Data(), lat, ax, ay); margin > s.Thresh {
+					out = append(out, margin)
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestBlockResponseMatchesDescriptorPath is the sweep's acceptance
 // gate: for every scan kind, lane and worker count, the block-response
 // sweep must produce the oracle's detections — identical boxes, kinds
 // and count, with scores within 1e-9 relative (the two sum the same
-// products in different order).
+// products in different order). Before NMS, every lane must also
+// accept exactly the windows whose WindowMargin clears the threshold,
+// with that margin bit for bit (blockMargins): the response planes sum
+// the same dots in the same order, and the quantized lane re-scores
+// everything it does not reject in float.
 func TestBlockResponseMatchesDescriptorPath(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range scanCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, lane := range scanLanes {
@@ -138,7 +179,24 @@ func TestBlockResponseMatchesDescriptorPath(t *testing.T) {
 				if len(ref) == 0 && !lane.haar {
 					t.Fatalf("%s: oracle found nothing; scene too easy to miss a regression", tc.name)
 				}
+				s := tc.sweep
+				s.ScanConfig = tc.lane(lane)
+				exact := blockMargins(t, s, tc.frame)
+				st := NewFrameStack()
 				for _, workers := range []int{1, 2, runtime.NumCPU()} {
+					st.Begin(tc.frame)
+					all, err := sweepDets(ctx, s, st, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(all) != len(exact) {
+						t.Fatalf("%s workers=%d: sweep accepted %d windows, WindowMargin %d", lane, workers, len(all), len(exact))
+					}
+					for i, d := range all {
+						if math.Float64bits(d.Score) != math.Float64bits(exact[i]) {
+							t.Fatalf("%s workers=%d: window %d scored %v, WindowMargin %v", lane, workers, i, d.Score, exact[i])
+						}
+					}
 					got := tc.scan(t, workers, tc.lane(lane))
 					if len(got) != len(ref) {
 						t.Fatalf("%s workers=%d: %d detections, want %d", lane, workers, len(got), len(ref))
@@ -157,6 +215,51 @@ func TestBlockResponseMatchesDescriptorPath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlaneBandsMatchWindowMargin covers what the small scenes of
+// TestBlockResponseMatchesDescriptorPath cannot: a frame tall enough
+// that the bottom pyramid levels split into several plane bands, so
+// workers start bands mid-level, refill the block rows bands share and
+// wrap their plane rings many times. Every accepted window must still
+// carry its WindowMargin bit for bit, at every worker count, with the
+// prefilter off and on.
+func TestPlaneBandsMatchWindowMargin(t *testing.T) {
+	day := NewDayDuskDetector(trainSmall(t, synth.DayDataset(740, 64, 64, 40, 40)))
+	day.DetectThresh = -0.5
+	ped := trainPed(t, 741)
+	ped.DetectThresh = -0.5
+	frame := scanScene(742, 256, 720)
+	ctx := context.Background()
+	for _, sw := range []windowSweep{day.sweep(), ped.sweep()} {
+		if nay := scanPositions(frame.H, sw.WinH, sw.Stride); nay <= planeBandBlockRows*sw.Cfg.CellSize/sw.Stride {
+			t.Fatalf("%v: %d window rows fit one band; the frame no longer splits levels", sw.Kind, nay)
+		}
+		for _, lane := range []scanLane{scanLanes[0], scanLanes[2]} {
+			s := sw
+			s.ScanConfig = lane.config(s.WinW, s.WinH)
+			exact := blockMargins(t, s, frame)
+			if len(exact) == 0 {
+				t.Fatalf("%v %s: no window clears the threshold", s.Kind, lane)
+			}
+			st := NewFrameStack()
+			for _, workers := range []int{1, 2, runtime.NumCPU()} {
+				st.Begin(frame)
+				all, err := sweepDets(ctx, s, st, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(all) != len(exact) {
+					t.Fatalf("%v %s workers=%d: sweep accepted %d windows, WindowMargin %d", s.Kind, lane, workers, len(all), len(exact))
+				}
+				for i, d := range all {
+					if math.Float64bits(d.Score) != math.Float64bits(exact[i]) {
+						t.Fatalf("%v %s workers=%d: window %d scored %v, WindowMargin %v", s.Kind, lane, workers, i, d.Score, exact[i])
+					}
+				}
+			}
+		}
 	}
 }
 

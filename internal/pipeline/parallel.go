@@ -29,13 +29,14 @@ import (
 // whose HOG memories are written once per frame and only read by the
 // window evaluators. There is one window evaluator per datapath:
 //
-//   - float (default): early reject. Each window's block partials are
-//     accumulated in descending weight-mass order and the window is
-//     abandoned as soon as the remaining blocks provably cannot lift
-//     the margin above the threshold. Surviving windows re-sum their
-//     partials in canonical order, so reported margins are bitwise
-//     the full evaluation's. A row's windows are scored together,
-//     position-major (svm.BlockModel.EarlyMarginRow).
+//   - float (default): response planes. Each block's dots with every
+//     window-relative weight slice that reads it are computed once,
+//     into a plane row (svm.PlaneLayout.FillRow), and a window's
+//     margin is the bias plus one plane entry per block position,
+//     summed in canonical order (svm.PlaneLayout.Margins) — bitwise
+//     svm.BlockModel.WindowMargin. Window rows are swept in bands, and
+//     each worker keeps only the plane rows its current window row
+//     reads, in a ring; a row with no candidate fills none.
 //   - quantized (Quantized): margins accumulated over the stack's
 //     Q1.14 block planes in the integer datapath of the PL
 //     (svm.QuantBlockModel.ScoreAt, integer early exit on). Rejections
@@ -131,33 +132,62 @@ func (s windowSweep) check() error {
 // rowTask addresses one window row of one pyramid level.
 type rowTask struct{ level, y int }
 
+// rowBand is the unit of the sweep's fan-out: row tasks t0..t1-1, a
+// run of consecutive window rows of one level. A band's plane rows are
+// filled once each by the worker that sweeps it; only the block rows
+// its first window row shares with the previous band are filled twice.
+type rowBand struct{ level, t0, t1 int }
+
+// planeBandBlockRows is how many block rows a band of window rows
+// spans, about: a band refills the (bh-1)*BlockStride block rows it
+// shares with its predecessor, 6 for the shipped windows, so 64 keeps
+// that under a tenth of the plane work while a 1080p level still
+// splits into bands for two workers.
+const planeBandBlockRows = 64
+
 // rowScratch is the per-worker scratch of the window-row loop: the
-// row's candidate anchors, the scorer's working set, the cached
-// detections a partially dirty row keeps, and the worker's detection
-// arena, which every row the worker scores appends to. It lives in the
-// stack's scanScratch, so its buffers survive from sweep to sweep.
+// row's candidate anchors, the cached detections a partially dirty row
+// keeps, the worker's detection arena, which every row the worker
+// scores appends to, and its plane ring. It lives in the stack's
+// scanScratch, so its buffers survive from sweep to sweep.
 type rowScratch struct {
 	cands []int
 	kept  []Detection
 	dets  []Detection
-	row   svm.RowScratch
+
+	// The plane ring: the plane rows of the block rows the current
+	// window row reads. Block row cy lives in slot cy % len(ringRow),
+	// ringRow[slot] is the block row a slot holds (-1: none), and rows
+	// are the current window row's plane rows by position row.
+	ring    []float64
+	ringRow []int
+	rows    [][]float64
+	margins []float64
+
+	// Wall time this worker spent in the sweep and, of that, filling
+	// plane rows; kept only for timed sweeps.
+	busy, plane time.Duration
 }
 
 // ScanTimings breaks one multi-scale scan into its wall-clock stages,
 // mirroring the paper's Fig. 2 datapath: pyramid resize, gradient +
 // cell-histogram feature maps, haar prefilter integrals, block
-// normalization and quantization, the per-level anchor lattices, and
-// the window scoring sweep. The first five stages and the tile
-// accounting are the frame stack's (FrameStack.Timings, once per
-// frame); Response, Windows and Quantized are one sweep's (SweepCtx).
-// DetectTimedCtx reports both for its one-sweep stack.
+// normalization and quantization, the per-level anchor lattices and
+// response planes, and the window scoring sweep. The first five
+// stages and the tile accounting are the frame stack's
+// (FrameStack.Timings, once per frame); Response, Windows and
+// Quantized are one sweep's (SweepCtx).
+// DetectTimedCtx reports both for its one-sweep stack. Plane rows are
+// filled and summed by the same workers, interleaved, so the sweep's
+// fan-out wall time is split between Response and Windows in the
+// ratio of the workers' time in each.
 type ScanTimings struct {
 	Resize    time.Duration // pyramid level resizing
 	Feature   time.Duration // gradient + cell-histogram feature maps
 	Prefilter time.Duration // haar prefilter integral images
 	Blocks    time.Duration // block L2Hys normalization + Q1.14 quantization
-	Response  time.Duration // per-level anchor lattice setup and checks
-	Windows   time.Duration // window scoring + detection assembly
+	Response  time.Duration // anchor lattices + response-plane rows
+	Windows   time.Duration // window margins + detection assembly
 	Temporal  time.Duration // tile fingerprinting + dirty-mask dilation
 	// TileHits/TileMisses/TileRefreshes are the temporal cache's tile
 	// accounting for this frame (all zero without a cache): reused,
@@ -189,10 +219,12 @@ type sweepJob struct {
 	useQuant  bool
 	usePref   bool
 	serveRows bool // the temporal part holds last frame's rows
+	timed     bool // workers keep their busy and plane-fill times
 	part      *sweepPart
 	spanCX    int // a window's cell rectangle
 	spanCY    int
 	tasks     []rowTask
+	bands     []rowBand
 	results   [][]Detection
 }
 
@@ -263,13 +295,17 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, sc *scanScratch, w
 	// Per level: the anchor lattice over the stack's block grid. The
 	// pyramid holds only levels the window fits, so every lattice has
 	// at least one anchor.
+	step := s.Stride / cell
+	if !useQuant {
+		m.pl.Init(&m.bm, step, step, s.Cfg.BlockStride)
+	}
 	sc.setLevels(nl)
 	for i := 0; i < nl; i++ {
 		level, bg := st.levels[i], st.grids[i]
 		nbx, nby := bg.Dims()
 		lat := svm.Lattice{
 			NBX: nbx, NBY: nby,
-			StepX: s.Stride / cell, StepY: s.Stride / cell,
+			StepX: step, StepY: step,
 			NAX: scanPositions(level.W, s.WinW, s.Stride), NAY: scanPositions(level.H, s.WinH, s.Stride),
 			BlockStride: s.Cfg.BlockStride,
 		}
@@ -287,24 +323,35 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, sc *scanScratch, w
 
 	// One task per window row across all levels, pre-sized from the
 	// pyramid geometry; each task owns an output slot, so assembly
-	// order is independent of worker scheduling.
+	// order is independent of worker scheduling. The workers take the
+	// tasks a band at a time: a plane band of window rows, or one row
+	// on the quantized lane, which fills no planes.
 	nt := 0
 	for i := 0; i < nl; i++ {
 		nt += sc.lats[i].NAY
 	}
 	tasks, results := sc.setTasks(nt)
+	bandRows := 1
+	if !useQuant {
+		bandRows = max(1, planeBandBlockRows/step)
+	}
+	sc.bands = sc.bands[:0]
 	k := 0
 	for i := 0; i < nl; i++ {
 		for ay := 0; ay < sc.lats[i].NAY; ay++ {
+			if ay%bandRows == 0 {
+				sc.bands = append(sc.bands, rowBand{level: i, t0: k}) // lint:alloc grows to the most bands a sweep has
+			}
 			tasks[k] = rowTask{i, ay * s.Stride}
 			k++
+			sc.bands[len(sc.bands)-1].t1 = k
 		}
 	}
 	bw, bh := m.bm.BW, m.bm.BH
 	sc.beginWorkers(workers)
 	sc.job = sweepJob{
 		s: s, st: st, sc: sc, m: m,
-		useQuant: useQuant, usePref: usePref,
+		useQuant: useQuant, usePref: usePref, timed: timed,
 		// Window-row reuse: with a cache holding the previous scan's
 		// rows (same signature, so the task list is identical), any
 		// row whose inputs are untouched this frame produces
@@ -317,12 +364,25 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, sc *scanScratch, w
 		// its pixel span (the haar prefilter reads window pixels).
 		spanCX: max((bw-1)*s.Cfg.BlockStride+s.Cfg.BlockCells, (s.WinW+cell-1)/cell),
 		spanCY: max((bh-1)*s.Cfg.BlockStride+s.Cfg.BlockCells, (s.WinH+cell-1)/cell),
-		tasks:  tasks, results: results,
+		tasks:  tasks, bands: sc.bands, results: results,
 	}
-	err = sc.fan.Run(ctx, workers, nt, &sc.job)
+	err = sc.fan.Run(ctx, workers, len(sc.bands), &sc.job)
 	sc.job = sweepJob{}
 	if err != nil {
 		return nil, err
+	}
+	if timed {
+		// The fan-out's wall time, split between plane fills and window
+		// sums in the ratio of the workers' time in each.
+		var busy, plane time.Duration
+		for _, rs := range sc.rows[:workers] {
+			busy, plane = busy+rs.busy, plane+rs.plane
+		}
+		if busy > 0 {
+			resp := time.Duration(float64(time.Since(last)) * float64(plane) / float64(busy))
+			t.Response += resp
+			last = last.Add(resp)
+		}
 	}
 	sc.all = sc.all[:0]
 	for _, r := range results {
@@ -339,19 +399,95 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, sc *scanScratch, w
 	return sc.all, nil
 }
 
-// Do scores row task ti on worker w, appending the row's detections in
-// ascending x to the worker's arena and recording them as results[ti].
+// Do sweeps band bi on worker w, row by row.
 //
 // lint:hotpath
-func (j *sweepJob) Do(w, ti int) {
-	s, st, sc, part := &j.s, j.st, j.sc, j.part
+func (j *sweepJob) Do(w, bi int) {
+	var start time.Time
+	if j.timed {
+		start = time.Now()
+	}
+	b := j.bands[bi]
+	rs := j.sc.rows[w]
+	if !j.useQuant {
+		j.beginBand(rs, b.level)
+	}
+	for ti := b.t0; ti < b.t1; ti++ {
+		j.row(rs, ti)
+	}
+	if j.timed {
+		rs.busy += time.Since(start)
+	}
+}
+
+// beginBand readies rs's plane ring for a band of the given level: one
+// slot per block row a window row spans, each wide enough for every
+// block column the level's windows reach, all empty.
+//
+// lint:hotpath
+func (j *sweepJob) beginBand(rs *rowScratch, level int) {
+	lat, pl, bm := j.sc.lats[level], &j.m.pl, &j.m.bm
+	slots := (bm.BH-1)*lat.BlockStride + 1
+	ncx := (lat.NAX-1)*lat.StepX + (bm.BW-1)*lat.BlockStride + 1
+	if n := slots * ncx * pl.Width; cap(rs.ring) < n {
+		rs.ring = make([]float64, n) // lint:alloc grows to the widest level's ring once per scratch
+	}
+	rs.ring = rs.ring[:slots*ncx*pl.Width]
+	if cap(rs.ringRow) < slots {
+		rs.ringRow = make([]int, slots) // lint:alloc grows to the tallest window once per scratch
+	}
+	rs.ringRow = rs.ringRow[:slots]
+	for i := range rs.ringRow {
+		rs.ringRow[i] = -1
+	}
+	if cap(rs.rows) < bm.BH {
+		rs.rows = make([][]float64, bm.BH) // lint:alloc grows to the tallest window once per scratch
+	}
+	rs.rows = rs.rows[:bm.BH]
+}
+
+// planeRows points rs.rows at the plane rows window row ay of the
+// band's level reads, filling the ones the ring does not hold yet.
+//
+// lint:hotpath
+func (j *sweepJob) planeRows(rs *rowScratch, level, ay int) [][]float64 {
+	var start time.Time
+	if j.timed {
+		start = time.Now()
+	}
+	lat, pl := j.sc.lats[level], &j.m.pl
+	blocks := j.st.grids[level].Data()
+	slots := len(rs.ringRow)
+	rowLen := len(rs.ring) / slots
+	for pby := range rs.rows {
+		cy := ay*lat.StepY + pby*lat.BlockStride
+		slot := cy % slots
+		r := rs.ring[slot*rowLen:][:rowLen]
+		if rs.ringRow[slot] != cy {
+			pl.FillRow(r, blocks, lat.NBX, cy, rowLen/pl.Width)
+			rs.ringRow[slot] = cy
+		}
+		rs.rows[pby] = r
+	}
+	if j.timed {
+		rs.plane += time.Since(start)
+	}
+	return rs.rows
+}
+
+// row scores row task ti on the worker owning rs, appending the row's
+// detections in ascending x to the worker's arena and recording them
+// as results[ti].
+//
+// lint:hotpath
+func (j *sweepJob) row(rs *rowScratch, ti int) {
+	s, st, part := &j.s, j.st, j.part
 	tc := st.tc
 	rt := j.tasks[ti]
 	if j.serveRows && tc.rowServable(s.Cfg, rt.level, rt.y, s.WinH, j.m.bm.BH) {
 		j.results[ti] = part.rows.row(ti)
 		return
 	}
-	rs := sc.rows[w]
 	g := st.src
 	level := st.levels[rt.level]
 	fx := float64(g.W) / float64(level.W)
@@ -370,7 +506,7 @@ func (j *sweepJob) Do(w, ti int) {
 		it = st.its[rt.level]
 	}
 	ay := rt.y / s.Stride
-	lat := sc.lats[rt.level]
+	lat := j.sc.lats[rt.level]
 	blocks := st.grids[rt.level].Data()
 	// Per-window reuse inside a partially dirty level: a window whose
 	// cell rectangle the prefix proves clean kept its inputs, so last
@@ -439,10 +575,15 @@ func (j *sweepJob) Do(w, ti int) {
 				emit(ax, m)
 			}
 		}
-	} else {
-		for _, sv := range j.m.bm.EarlyMarginRow(blocks, lat, ay, rs.cands, s.Thresh, &rs.row) {
-			if sv.Margin > s.Thresh {
-				emit(sv.AX, sv.Margin)
+	} else if len(rs.cands) > 0 {
+		if cap(rs.margins) < len(rs.cands) {
+			rs.margins = make([]float64, len(rs.cands)) // lint:alloc grows to the widest row once per scratch
+		}
+		margins := rs.margins[:len(rs.cands)]
+		j.m.pl.Margins(margins, j.planeRows(rs, rt.level, ay), rs.cands)
+		for i, ax := range rs.cands {
+			if margins[i] > s.Thresh {
+				emit(ax, margins[i])
 			}
 		}
 	}

@@ -24,6 +24,7 @@ import (
 type scanScratch struct {
 	lats    []svm.Lattice // per-level anchor lattices
 	tasks   []rowTask
+	bands   []rowBand
 	results [][]Detection // per row task; aliases a worker arena or the temporal part
 	rows    []*rowScratch // one per window-row worker
 	all     []Detection   // every row's detections in task order
@@ -44,13 +45,14 @@ func (s *scanScratch) setLevels(n int) {
 }
 
 // beginWorkers readies one row scratch per window-row worker of the
-// coming sweep, its detection arena emptied.
+// coming sweep, its detection arena emptied and its times zeroed.
 func (s *scanScratch) beginWorkers(n int) {
 	for len(s.rows) < n {
 		s.rows = append(s.rows, new(rowScratch)) // lint:alloc grows to the worker count once per scratch
 	}
 	for _, rs := range s.rows[:n] {
 		rs.dets = rs.dets[:0]
+		rs.busy, rs.plane = 0, 0
 	}
 }
 
@@ -70,13 +72,15 @@ func (s *scanScratch) setTasks(n int) ([]rowTask, [][]Detection) {
 }
 
 // sweepModel is one sweep's model reshaped for block scoring: the float
-// block model and, once a quantized sweep asks, the quantized one. The
+// block model, its plane layout for the sweep's anchor step and, once
+// a quantized sweep asks, the quantized model. The
 // frame stack keeps one per model and window geometry it sweeps, so
 // sweeps that alternate over one stack — vehicle and pedestrian —
 // reshape nothing after their first frame.
 type sweepModel struct {
 	model *svm.Model
 	bm    svm.BlockModel
+	pl    svm.PlaneLayout
 	qbm   svm.QuantBlockModel
 }
 
