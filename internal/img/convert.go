@@ -87,7 +87,17 @@ func GrayInto(dst *Gray, w, h int) *Gray {
 // concurrently and any split gives RGBToGrayInto's image exactly.
 func RGBToGrayRows(dst *Gray, m *RGB, y0, y1 int) {
 	out := dst.Pix[y0*m.W : y1*m.W]
-	pix := m.Pix[3*y0*m.W : 3*y1*m.W]
+	// The vector body reads up to 4 bytes past its last pixel: the
+	// rows after y1, read-only here, supply them where they exist.
+	pix := m.Pix[3*y0*m.W:]
+	i := rgbToGrayAsm(out, pix)
+	rgbToGrayGo(out[i:], pix[3*i:3*len(out)])
+}
+
+// rgbToGrayGo is the portable gray body, converting the RGB triples of
+// pix into out (len(pix) == 3*len(out)), and the oracle the vector
+// body is fuzzed against.
+func rgbToGrayGo(out, pix []uint8) {
 	for i := range out {
 		p := pix[3*i:][:3]
 		r, g, b := int32(p[0]), int32(p[1]), int32(p[2])

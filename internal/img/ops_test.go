@@ -137,16 +137,6 @@ func TestResizeHDTVToDarkPipelineSize(t *testing.T) {
 	}
 }
 
-func TestResizeRGBChannelsIndependent(t *testing.T) {
-	m := NewRGB(8, 8)
-	m.Fill(10, 200, 90)
-	r := ResizeRGB(m, 4, 4)
-	cr, cg, cb := r.At(2, 2)
-	if cr != 10 || cg != 200 || cb != 90 {
-		t.Fatalf("resized constant RGB = (%d,%d,%d)", cr, cg, cb)
-	}
-}
-
 func TestDownsampleBinaryORSemantics(t *testing.T) {
 	b := NewBinary(4, 4)
 	b.Set(3, 3, 1) // single pixel in bottom-right tile

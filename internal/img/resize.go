@@ -1,5 +1,7 @@
 package img
 
+import "advdet/internal/cpu"
+
 // ResizeGray scales g to (w, h) using bilinear interpolation in fixed
 // point (16.16), matching the hardware downscaler in the dark pipeline
 // that reduces the 1920x1080 capture to 640x360.
@@ -31,89 +33,132 @@ func ResizeGrayInto(dst *Gray, g *Gray, w, h int) *Gray {
 		copy(out.Pix, g.Pix)
 		return out
 	}
-	// Scale factors in 16.16 fixed point, sampling pixel centers.
-	sx := (int64(g.W) << 16) / int64(w)
-	sy := (int64(g.H) << 16) / int64(h)
-	// The horizontal source coordinates and weights are the same for
-	// every row, so they are tabulated once instead of rederived per
-	// pixel — same arithmetic, so the output is bitwise unchanged. The
-	// tables live on the stack (they must not escape) for pyramid-sized
-	// targets; wider targets fall back to recomputing per pixel.
-	const maxCols = 2048
-	var x0s, x1s, wxs [maxCols]int32
-	cols := w
-	if cols > maxCols {
-		cols = maxCols
-	}
-	for x := 0; x < cols; x++ {
-		fx := (int64(x)*sx + sx/2) - 1<<15
+	resizeGray(out, g, true)
+	return out
+}
+
+// resizeCols is the column chunk resizeGray tabulates at a time. The
+// tables live on the stack (they must not escape), so every target
+// width takes the tabulated path in chunks of this many columns.
+const resizeCols = 2048
+
+// resizeTab is one column chunk's tables. The horizontal source
+// coordinates and weights are the same for every row, so they are
+// tabulated once per chunk instead of rederived per pixel, and so is
+// how the vector body fetches the chunk's first nv columns: column i
+// reads its pair (x0, x0+1) from a 16-byte span of each row starting at
+// base bases[i/4] (window mode), or starting at x0s[i] itself (gather
+// mode, !window), and masks[i] holds the pair's offsets into that span
+// in bytes 0 and 2 (0x80 in bytes 1 and 3, which zeroes them).
+type resizeTab struct {
+	x0s, x1s, wxs [resizeCols]int32
+	masks         [resizeCols]uint32
+	bases         [resizeCols / 4]int32
+	nv            int
+	window        bool
+}
+
+// tabulate fills t for columns [c0, c0+cols) of a resize of a
+// srcW-wide row at 16.16 step sx. vec enables the vector tables.
+func (t *resizeTab) tabulate(c0, cols int, sx int64, srcW int, vec bool) {
+	for i := 0; i < cols; i++ {
+		fx := (int64(c0+i)*sx + sx/2) - 1<<15
 		if fx < 0 {
 			fx = 0
 		}
 		x0 := int32(fx >> 16)
 		x1 := x0 + 1
-		if int(x1) >= g.W {
-			x1 = int32(g.W - 1)
+		if int(x1) >= srcW {
+			x1 = int32(srcW - 1)
 		}
-		x0s[x], x1s[x], wxs[x] = x0, x1, int32(fx&0xffff)
+		t.x0s[i], t.x1s[i], t.wxs[i] = x0, x1, int32(fx&0xffff)
 	}
-	for y := 0; y < h; y++ {
-		fy := (int64(y)*sy + sy/2) - 1<<15
-		if fy < 0 {
-			fy = 0
-		}
-		y0 := int(fy >> 16)
-		wy := int32(fy & 0xffff)
-		y1 := y0 + 1
-		if y1 >= g.H {
-			y1 = g.H - 1
-		}
-		row0 := g.Pix[y0*g.W : y0*g.W+g.W]
-		row1 := g.Pix[y1*g.W : y1*g.W+g.W]
-		dst := out.Pix[y*w : y*w+w]
-		for x := 0; x < w; x++ {
-			var x0, x1, wx int32
-			if x < maxCols {
-				x0, x1, wx = x0s[x], x1s[x], wxs[x]
-			} else {
-				fx := (int64(x)*sx + sx/2) - 1<<15
-				if fx < 0 {
-					fx = 0
-				}
-				x0 = int32(fx >> 16)
-				x1 = x0 + 1
-				if int(x1) >= g.W {
-					x1 = int32(g.W - 1)
-				}
-				wx = int32(fx & 0xffff)
-			}
-			p00 := int32(row0[x0])
-			p01 := int32(row0[x1])
-			p10 := int32(row1[x0])
-			p11 := int32(row1[x1])
-			top := p00 + ((p01-p00)*wx)>>16
-			bot := p10 + ((p11-p10)*wx)>>16
-			dst[x] = clamp8(top + ((bot-top)*wy)>>16)
-		}
+	t.nv, t.window = 0, false
+	if !vec || !cpu.AVX2 {
+		return
 	}
-	return out
+	// Window mode, in groups of four columns: one 16-byte load per
+	// row serves the group when its pairs lie inside the row and span
+	// at most 16 bytes (scales below about 4.7). x0 never decreases,
+	// so the groups that qualify are a prefix, found in order.
+	for srcW >= 16 && t.nv+4 <= cols {
+		base, last := min(t.x0s[t.nv], int32(srcW-16)), t.x0s[t.nv+3]
+		if int(last)+2 > srcW || last+1-base > 15 {
+			break
+		}
+		t.bases[t.nv/4] = base
+		for i := t.nv; i < t.nv+4; i++ {
+			t.masks[i] = resizeMask(t.x0s[i] - base)
+		}
+		t.nv += 4
+	}
+	if t.nv > 0 {
+		t.window = true
+		return
+	}
+	// Gather mode for coarser scales: every column whose 4 bytes at x0
+	// lie inside the row fetches them on its own, into its own lane.
+	for t.nv < cols && int(t.x0s[t.nv])+4 <= srcW {
+		t.masks[t.nv] = resizeMask(int32(4 * (t.nv % 4)))
+		t.nv++
+	}
 }
 
-// ResizeRGB scales m to (w, h) channel by channel using the same
-// bilinear kernel as ResizeGray.
-func ResizeRGB(m *RGB, w, h int) *RGB {
-	out := NewRGB(w, h)
-	for c := 0; c < 3; c++ {
-		plane := NewGray(m.W, m.H)
-		for i := 0; i < m.W*m.H; i++ {
-			plane.Pix[i] = m.Pix[3*i+c]
-		}
-		scaled := ResizeGray(plane, w, h)
-		for i := 0; i < w*h; i++ {
-			out.Pix[3*i+c] = scaled.Pix[i]
+// resizeMask is the VPSHUFB mask taking bytes o and o+1 of a 16-byte
+// span into the low and high words of a lane.
+func resizeMask(o int32) uint32 {
+	return uint32(o) | 0x80<<8 | uint32(o+1)<<16 | 0x80<<24
+}
+
+// resizeGray writes g bilinearly scaled to out's size, which differs
+// from g's. vec lets rows run the vector body where the CPU has one;
+// the portable body alone (vec false) is the oracle the fuzz target
+// compares it against. Chunks and bodies split a row between them
+// without changing any pixel: each output pixel is the same integer
+// function of its four source pixels and two weights.
+func resizeGray(out, g *Gray, vec bool) {
+	w, h := out.W, out.H
+	// Scale factors in 16.16 fixed point, sampling pixel centers.
+	sx := (int64(g.W) << 16) / int64(w)
+	sy := (int64(g.H) << 16) / int64(h)
+	var t resizeTab
+	for c0 := 0; c0 < w; c0 += resizeCols {
+		cols := min(resizeCols, w-c0)
+		t.tabulate(c0, cols, sx, g.W, vec)
+		for y := 0; y < h; y++ {
+			fy := (int64(y)*sy + sy/2) - 1<<15
+			if fy < 0 {
+				fy = 0
+			}
+			y0 := int(fy >> 16)
+			wy := int32(fy & 0xffff)
+			y1 := y0 + 1
+			if y1 >= g.H {
+				y1 = g.H - 1
+			}
+			row0 := g.Pix[y0*g.W : y0*g.W+g.W]
+			row1 := g.Pix[y1*g.W : y1*g.W+g.W]
+			dst := out.Pix[y*w+c0 : y*w+c0+cols]
+			i := resizeRowAsm(dst, row0, row1, &t, wy)
+			resizeRowGo(dst[i:], row0, row1, t.x0s[i:cols], t.x1s[i:cols], t.wxs[i:cols], wy)
 		}
 	}
-	return out
+}
+
+// resizeRowGo is the portable row body: dst[i] interpolates columns
+// x0s[i] and x1s[i] of row0 and row1 at weights wxs[i] and wy (16.16).
+func resizeRowGo(dst, row0, row1 []uint8, x0s, x1s, wxs []int32, wy int32) {
+	x0s, x1s, wxs = x0s[:len(dst)], x1s[:len(dst)], wxs[:len(dst)]
+	for i := range dst {
+		x0, x1, wx := x0s[i], x1s[i], wxs[i]
+		p00 := int32(row0[x0])
+		p01 := int32(row0[x1])
+		p10 := int32(row1[x0])
+		p11 := int32(row1[x1])
+		top := p00 + ((p01-p00)*wx)>>16
+		bot := p10 + ((p11-p10)*wx)>>16
+		dst[i] = clamp8(top + ((bot-top)*wy)>>16)
+	}
 }
 
 // DownsampleBinary reduces b by an integer factor using an OR-reduce

@@ -2,31 +2,7 @@
 
 package svm
 
-// useAVX2 reports whether the CPU and OS support the AVX2 plane body:
-// AVX and AVX2 in CPUID, and the OS saving the YMM state (OSXSAVE set
-// and XCR0 enabling the SSE and AVX state components).
-var useAVX2 = hasAVX2()
-
-func hasAVX2() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
+import "advdet/internal/cpu"
 
 // planeKernelAVX2 is planeKernelGo's body in AVX2 assembly for n >= 8
 // blocks and cw a positive multiple of 4 (plane_amd64.s). It reads and
@@ -40,7 +16,7 @@ func planeKernelAVX2(dst *float64, dstStride int, blocks *float64, blkStride, n 
 //
 // lint:hotpath
 func planeKernelAsm(dst []float64, dstStride int, blocks []float64, blkStride, n int, wt []float64, cw int) bool {
-	if !useAVX2 || n < 8 {
+	if !cpu.AVX2 || n < 8 {
 		return false
 	}
 	bl := len(wt) / cw
