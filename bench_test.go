@@ -583,8 +583,9 @@ func BenchmarkDetectProcessFrame(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Warm-up: the first frame grows the pooled scratch and
-			// the frame stack's buffers, outside the measured region.
+			// Warm-up: the first frame sizes the System's frame stack
+			// (gray plane, pyramid levels, feature maps, block grids)
+			// and the sweep buffers, outside the measured region.
 			if _, err := sys.ProcessFrame(sc); err != nil {
 				b.Fatal(err)
 			}

@@ -60,7 +60,9 @@ func (j *featureJob) Do(_, i int) {
 	m, c, g := j.m, j.m.Cfg, j.g
 	switch j.stage {
 	case stageLUT:
-		c.cellRowHistogramsLUT(g.Pix, g.W, g.H, i, m.cw, m.hist)
+		if !c.cellRowHistogramsAsm(g.Pix, g.W, g.H, i, m.cw, m.hist) {
+			c.cellRowHistogramsLUT(g.Pix, g.W, g.H, i, m.cw, m.hist)
+		}
 	case stageGradient:
 		gradientRow(g, i, j.mag, j.ang)
 	case stageHist:
