@@ -1,11 +1,8 @@
 package haar
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 
 	"advdet/internal/img"
@@ -208,76 +205,4 @@ func (c *Classifier) Classify(g *img.Gray) bool {
 		g = img.ResizeGray(g, c.WinW, c.WinH)
 	}
 	return c.Score(NewIntegral(g), 0, 0) > 0
-}
-
-// Window is one accepted scan position.
-type Window struct {
-	X, Y  int
-	Score float64
-}
-
-// Scan slides the classifier over g with the given stride, returning
-// every window scoring above threshold. One integral image serves all
-// positions — the property that made Viola-Jones-style cascades fast
-// enough for real time.
-func (c *Classifier) Scan(g *img.Gray, stride int, threshold float64) []Window {
-	if stride < 1 {
-		stride = 1
-	}
-	if g.W < c.WinW || g.H < c.WinH {
-		return nil
-	}
-	it := NewIntegral(g)
-	var out []Window
-	for y := 0; y+c.WinH <= g.H; y += stride {
-		for x := 0; x+c.WinW <= g.W; x += stride {
-			if s := c.Score(it, x, y); s > threshold {
-				out = append(out, Window{X: x, Y: y, Score: s})
-			}
-		}
-	}
-	return out
-}
-
-type classifierFile struct {
-	WinW, WinH int
-	Stumps     []Stump
-	Bias       float64
-}
-
-// Encode writes the classifier to w.
-func (c *Classifier) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(classifierFile{c.WinW, c.WinH, c.Stumps, c.Bias})
-}
-
-// Decode reads a classifier from r.
-func Decode(r io.Reader) (*Classifier, error) {
-	var f classifierFile
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("haar: decode: %w", err)
-	}
-	return &Classifier{WinW: f.WinW, WinH: f.WinH, Stumps: f.Stumps, Bias: f.Bias}, nil
-}
-
-// Save writes the classifier to the named file.
-func (c *Classifier) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a classifier from the named file.
-func Load(path string) (*Classifier, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Decode(f)
 }

@@ -1,7 +1,6 @@
 package haar
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -56,18 +55,6 @@ func TestIntegralMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIntegralMean(t *testing.T) {
-	g := img.NewGray(4, 4)
-	g.Fill(100)
-	it := NewIntegral(g)
-	if got := it.Mean(0, 0, 4, 4); got != 100 {
-		t.Fatalf("mean = %v", got)
-	}
-	if got := it.Mean(2, 2, 2, 2); got != 0 {
-		t.Fatalf("degenerate mean = %v", got)
 	}
 }
 
@@ -225,91 +212,6 @@ func TestClassifyResizes(t *testing.T) {
 	}
 	big := img.NewGray(64, 64) // must not panic
 	c.Classify(big)
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	ds := synth.DayDataset(6, 32, 32, 20, 20)
-	o := DefaultTrainOptions()
-	o.Rounds = 8
-	c, err := Train(ds.Pos, ds.Neg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := ds.Pos[0]
-	if got.Classify(probe) != c.Classify(probe) {
-		t.Fatal("decoded classifier disagrees")
-	}
-	if _, err := Decode(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage decoded")
-	}
-}
-
-func TestSaveLoad(t *testing.T) {
-	ds := synth.DayDataset(7, 32, 32, 15, 15)
-	o := DefaultTrainOptions()
-	o.Rounds = 5
-	c, err := Train(ds.Pos, ds.Neg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/haar.bin"
-	if err := c.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScanLocalizesTarget(t *testing.T) {
-	// Train the blob-vs-streak classifier, then place one blob in a
-	// larger frame; Scan must fire at (or adjacent to) its position
-	// and nowhere far from it.
-	rng := synth.NewRNG(31)
-	var pos, neg []*img.Gray
-	for i := 0; i < 40; i++ {
-		p := img.NewGray(16, 16)
-		cx, cy := 6+rng.Intn(4), 6+rng.Intn(4)
-		img.FillRectGray(p, img.Rect{X0: cx - 3, Y0: cy - 3, X1: cx + 3, Y1: cy + 3}, 230)
-		pos = append(pos, p)
-		n := img.NewGray(16, 16)
-		y := rng.Intn(16)
-		img.FillRectGray(n, img.Rect{X0: 0, Y0: y, X1: 16, Y1: y + 2}, 230)
-		neg = append(neg, n)
-	}
-	o := DefaultTrainOptions()
-	o.Rounds = 15
-	c, err := Train(pos, neg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := img.NewGray(64, 48)
-	img.FillRectGray(frame, img.Rect{X0: 29, Y0: 21, X1: 35, Y1: 27}, 230) // blob at (32,24)
-	wins := c.Scan(frame, 2, 0)
-	if len(wins) == 0 {
-		t.Fatal("Scan found nothing")
-	}
-	for _, w := range wins {
-		cx, cy := w.X+8, w.Y+8
-		if cx < 24 || cx > 40 || cy < 16 || cy > 32 {
-			t.Fatalf("spurious hit at (%d,%d)", w.X, w.Y)
-		}
-	}
-}
-
-func TestScanTooSmallFrame(t *testing.T) {
-	c := &Classifier{WinW: 32, WinH: 32, Stumps: []Stump{{Polarity: 1, Alpha: 1}}}
-	if got := c.Scan(img.NewGray(8, 8), 1, 0); got != nil {
-		t.Fatal("scan of too-small frame returned windows")
-	}
 }
 
 func TestAlphasPositive(t *testing.T) {

@@ -18,35 +18,17 @@ type Integral struct {
 
 // NewIntegral builds the summed-area table of g.
 func NewIntegral(g *img.Gray) *Integral {
-	it := &Integral{}
-	it.Compute(g)
-	return it
-}
-
-// Compute rebuilds the table for g in place, reusing the sum buffer
-// when it is large enough — the scan prefilter recomputes one
-// integral per pyramid level per frame, and reuse keeps that
-// steady-state allocation-free.
-func (it *Integral) Compute(g *img.Gray) {
 	w, h := g.W, g.H
-	n := (w + 1) * (h + 1)
-	if cap(it.sum) < n {
-		it.sum = make([]int64, n) // lint:alloc grows only until the largest level is seen
-	}
-	it.W, it.H = w, h
-	it.sum = it.sum[:n]
+	it := &Integral{W: w, H: h, sum: make([]int64, (w+1)*(h+1))}
 	stride := w + 1
-	for x := 0; x <= w; x++ {
-		it.sum[x] = 0
-	}
 	for y := 0; y < h; y++ {
-		it.sum[(y+1)*stride] = 0
 		var rowSum int64
 		for x := 0; x < w; x++ {
 			rowSum += int64(g.Pix[y*w+x])
 			it.sum[(y+1)*stride+x+1] = it.sum[y*stride+x+1] + rowSum
 		}
 	}
+	return it
 }
 
 // Sum returns the pixel sum over the half-open rectangle
@@ -68,13 +50,4 @@ func (it *Integral) Sum(x0, y0, x1, y1 int) int64 {
 	}
 	s := it.W + 1
 	return it.sum[y1*s+x1] - it.sum[y0*s+x1] - it.sum[y1*s+x0] + it.sum[y0*s+x0]
-}
-
-// Mean returns the mean intensity over the rectangle.
-func (it *Integral) Mean(x0, y0, x1, y1 int) float64 {
-	area := (x1 - x0) * (y1 - y0)
-	if area <= 0 {
-		return 0
-	}
-	return float64(it.Sum(x0, y0, x1, y1)) / float64(area)
 }

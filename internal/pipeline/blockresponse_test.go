@@ -6,64 +6,42 @@ import (
 	"runtime"
 	"testing"
 
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/synth"
 )
 
 // scanLane is one scoring lane of a sweep: the float response-plane or
-// the quantized on-demand datapath, with the haar prefilter off or on.
-type scanLane struct{ quant, haar bool }
+// the quantized on-demand datapath.
+type scanLane struct{ quant bool }
 
 // scanLanes is every lane a sweep runs. The equivalence tests check
 // each of them against one oracle, hogOracle.
-var scanLanes = []scanLane{{false, false}, {true, false}, {false, true}, {true, true}}
+var scanLanes = []scanLane{{false}, {true}}
 
 func (l scanLane) String() string {
-	name := "early" // the float lane, named for its scorer before response planes
 	if l.quant {
-		name = "quantized"
+		return "quantized"
 	}
-	if l.haar {
-		name += "-haar"
-	}
-	return name
+	return "early" // the float lane, named for its scorer before response planes
 }
 
-// config is the lane's ScanConfig for a winW x winH sweep. The haar
-// lanes gate windows with edgeCascade, a pixel-dependent prefilter
-// that rejects a real share of the lattice.
-func (l scanLane) config(winW, winH int) ScanConfig {
-	c := ScanConfig{Quantized: l.quant}
-	if l.haar {
-		c.Prefilter = edgeCascade(winW, winH)
-	}
-	return c
-}
+// config is the lane's ScanConfig.
+func (l scanLane) config() ScanConfig { return ScanConfig{Quantized: l.quant} }
 
 // hogOracle is the serial reference every sweep lane is checked
 // against: scanPyramid scoring each window with Model.Margin over its
 // full HOG descriptor, assembled from its level's feature map (per-crop
-// Cfg.Extract where the window leaves the cell grid), behind the
-// sweep's haar prefilter when its window matches. No block grid, block
-// model or frame stack is involved, so the sweep's scores agree with
-// it to float reassociation (~1e-9 relative) and its boxes exactly.
+// Cfg.Extract where the window leaves the cell grid). No block grid,
+// block model or frame stack is involved, so the sweep's scores agree
+// with it to float reassociation (~1e-9 relative) and its boxes
+// exactly.
 func hogOracle(s windowSweep, g *img.Gray) []Detection {
 	var level *img.Gray
 	var fm *hog.FeatureMap
-	var it *haar.Integral
-	usePref := false
-	if s.Prefilter != nil {
-		pw, ph := s.Prefilter.Window()
-		usePref = pw == s.WinW && ph == s.WinH
-	}
 	return scanPyramid(g, s.WinW, s.WinH, s.Stride, s.Scale, s.Thresh, func(l *img.Gray, r img.Rect) float64 {
 		if l != level {
-			level, fm, it = l, s.Cfg.NewFeatureMap(l), haar.NewIntegral(l)
-		}
-		if usePref && !s.Prefilter.AcceptAt(it, r.X0, r.Y0) {
-			return math.Inf(-1)
+			level, fm = l, s.Cfg.NewFeatureMap(l)
 		}
 		desc := fm.Descriptor(r.X0, r.Y0, s.WinW, s.WinH, nil)
 		if desc == nil {
@@ -80,9 +58,6 @@ type scanCase struct {
 	sweep windowSweep // the detector's sweep; its ScanConfig is set per scan
 	nms   float64
 }
-
-// lane is l's ScanConfig at the case's window.
-func (c scanCase) lane(l scanLane) ScanConfig { return l.config(c.sweep.WinW, c.sweep.WinH) }
 
 // scan runs the detector's DetectCtx path with the given scan
 // configuration.
@@ -127,8 +102,8 @@ func scanCases(t *testing.T) []scanCase {
 
 // blockMargins is the sweep's exact reference: the WindowMargin over
 // the frame stack's block grids of every window the sweep scores —
-// every anchor of every level, behind the prefilter when its window
-// matches — that clears the threshold, in level-major raster order.
+// every anchor of every level — that clears the threshold, in
+// level-major raster order.
 func blockMargins(t *testing.T, s windowSweep, g *img.Gray) []float64 {
 	t.Helper()
 	st := NewFrameStack()
@@ -140,18 +115,10 @@ func blockMargins(t *testing.T, s windowSweep, g *img.Gray) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	usePref := false
-	if s.Prefilter != nil {
-		pw, ph := s.Prefilter.Window()
-		usePref = pw == s.WinW && ph == s.WinH
-	}
 	var out []float64
 	for i, lat := range st.scan.lats {
 		for ay := 0; ay < lat.NAY; ay++ {
 			for ax := 0; ax < lat.NAX; ax++ {
-				if usePref && !s.Prefilter.AcceptAt(st.its[i], ax*s.Stride, ay*s.Stride) {
-					continue
-				}
 				if margin := m.bm.WindowMargin(st.grids[i].Data(), lat, ax, ay); margin > s.Thresh {
 					out = append(out, margin)
 				}
@@ -175,12 +142,12 @@ func TestBlockResponseMatchesDescriptorPath(t *testing.T) {
 	for _, tc := range scanCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, lane := range scanLanes {
-				ref := tc.oracle(tc.lane(lane))
-				if len(ref) == 0 && !lane.haar {
+				ref := tc.oracle(lane.config())
+				if len(ref) == 0 {
 					t.Fatalf("%s: oracle found nothing; scene too easy to miss a regression", tc.name)
 				}
 				s := tc.sweep
-				s.ScanConfig = tc.lane(lane)
+				s.ScanConfig = lane.config()
 				exact := blockMargins(t, s, tc.frame)
 				st := NewFrameStack()
 				for _, workers := range []int{1, 2, runtime.NumCPU()} {
@@ -197,7 +164,7 @@ func TestBlockResponseMatchesDescriptorPath(t *testing.T) {
 							t.Fatalf("%s workers=%d: window %d scored %v, WindowMargin %v", lane, workers, i, d.Score, exact[i])
 						}
 					}
-					got := tc.scan(t, workers, tc.lane(lane))
+					got := tc.scan(t, workers, lane.config())
 					if len(got) != len(ref) {
 						t.Fatalf("%s workers=%d: %d detections, want %d", lane, workers, len(got), len(ref))
 					}
@@ -223,8 +190,7 @@ func TestBlockResponseMatchesDescriptorPath(t *testing.T) {
 // that the bottom pyramid levels split into several plane bands, so
 // workers start bands mid-level, refill the block rows bands share and
 // wrap their plane rings many times. Every accepted window must still
-// carry its WindowMargin bit for bit, at every worker count, with the
-// prefilter off and on.
+// carry its WindowMargin bit for bit, at every worker count.
 func TestPlaneBandsMatchWindowMargin(t *testing.T) {
 	day := NewDayDuskDetector(trainSmall(t, synth.DayDataset(740, 64, 64, 40, 40)))
 	day.DetectThresh = -0.5
@@ -236,27 +202,23 @@ func TestPlaneBandsMatchWindowMargin(t *testing.T) {
 		if nay := scanPositions(frame.H, sw.WinH, sw.Stride); nay <= planeBandBlockRows*sw.Cfg.CellSize/sw.Stride {
 			t.Fatalf("%v: %d window rows fit one band; the frame no longer splits levels", sw.Kind, nay)
 		}
-		for _, lane := range []scanLane{scanLanes[0], scanLanes[2]} {
-			s := sw
-			s.ScanConfig = lane.config(s.WinW, s.WinH)
-			exact := blockMargins(t, s, frame)
-			if len(exact) == 0 {
-				t.Fatalf("%v %s: no window clears the threshold", s.Kind, lane)
+		exact := blockMargins(t, sw, frame)
+		if len(exact) == 0 {
+			t.Fatalf("%v: no window clears the threshold", sw.Kind)
+		}
+		st := NewFrameStack()
+		for _, workers := range []int{1, 2, runtime.NumCPU()} {
+			st.Begin(frame)
+			all, err := sweepDets(ctx, sw, st, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			st := NewFrameStack()
-			for _, workers := range []int{1, 2, runtime.NumCPU()} {
-				st.Begin(frame)
-				all, err := sweepDets(ctx, s, st, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(all) != len(exact) {
-					t.Fatalf("%v %s workers=%d: sweep accepted %d windows, WindowMargin %d", s.Kind, lane, workers, len(all), len(exact))
-				}
-				for i, d := range all {
-					if math.Float64bits(d.Score) != math.Float64bits(exact[i]) {
-						t.Fatalf("%v %s workers=%d: window %d scored %v, WindowMargin %v", s.Kind, lane, workers, i, d.Score, exact[i])
-					}
+			if len(all) != len(exact) {
+				t.Fatalf("%v workers=%d: sweep accepted %d windows, WindowMargin %d", sw.Kind, workers, len(all), len(exact))
+			}
+			for i, d := range all {
+				if math.Float64bits(d.Score) != math.Float64bits(exact[i]) {
+					t.Fatalf("%v workers=%d: window %d scored %v, WindowMargin %v", sw.Kind, workers, i, d.Score, exact[i])
 				}
 			}
 		}
@@ -283,7 +245,6 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	}{
 		{"early", func(d *DayDuskDetector) {}},
 		{"quantized", func(d *DayDuskDetector) { d.Quantized = true }},
-		{"prefilter", func(d *DayDuskDetector) { d.Prefilter = constCascade(64, 64, -1) }},
 		{"temporal", func(d *DayDuskDetector) { d.Temporal = NewTemporalCache() }},
 		{"temporal-quantized", func(d *DayDuskDetector) { d.Temporal = NewTemporalCache(); d.Quantized = true }},
 	} {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/par"
@@ -17,17 +16,18 @@ import (
 // window geometry, stride, model, threshold and Kind, plus the scan
 // configuration. It is the shared-cache, worker-pool equivalent of the
 // serial scanPyramid reference. The stack supplies each pyramid level's
-// feature map, block grid, quantized plane and integral image, built
-// once per frame whichever sweeps read them; the sweep fans its window
-// rows out across the pool, with every row writing its own output slot
-// so the assembled detection list is identical for every worker count.
+// feature map, block grid and quantized plane, built once per frame
+// whichever sweeps read them; the sweep fans its window rows out
+// across the pool, with every row writing its own output slot so the
+// assembled detection list is identical for every worker count.
 //
 // Every scan position lies on the cell grid (the stride is a multiple
 // of the cell size; anything else is ErrScanGeometry), so windows are
 // scored against the svm.BlockModel straight from the level's
 // normalized block grid — the software rendition of the PL datapath,
 // whose HOG memories are written once per frame and only read by the
-// window evaluators. There is one window evaluator per datapath:
+// window evaluators. There is one window evaluator per datapath, with
+// nothing in front of it:
 //
 //   - float (default): response planes. Each block's dots with every
 //     window-relative weight slice that reads it are computed once,
@@ -55,11 +55,10 @@ type windowSweep struct {
 }
 
 // ScanConfig is what a HOG detector's scan does beyond its window
-// geometry and model: the scoring datapath, the haar prefilter and the
-// temporal cache. DayDuskDetector, PedestrianDetector and
-// AnimalDetector embed it, so d.Quantized, d.Prefilter and d.Temporal
-// are set on the detector directly. Only the prefilter changes the
-// detections.
+// geometry and model: the scoring datapath and the temporal cache.
+// DayDuskDetector, PedestrianDetector and AnimalDetector embed it, so
+// d.Quantized and d.Temporal are set on the detector directly. No
+// field changes the detections.
 type ScanConfig struct {
 	// Quantized scores windows in the int16/int32 fixed-point datapath
 	// with float re-scoring of every window it does not reject, so
@@ -67,11 +66,6 @@ type ScanConfig struct {
 	// Ignored (with float fallback) when the model's weights exceed the
 	// quantizer's range.
 	Quantized bool
-	// Prefilter, when non-nil and trained at exactly the scan window,
-	// integral-image-rejects windows before any block scoring. A
-	// cascade trained at a different window geometry is ignored: its
-	// scores would be evaluated over the wrong pixels.
-	Prefilter *haar.Cascade
 	// Temporal, when non-nil, reuses the feature/block stack and the
 	// sweep's window rows across consecutive frames, recomputing only
 	// what each frame's dirty tiles invalidate (see NewTemporalCache).
@@ -171,10 +165,10 @@ type rowScratch struct {
 
 // ScanTimings breaks one multi-scale scan into its wall-clock stages,
 // mirroring the paper's Fig. 2 datapath: pyramid resize, gradient +
-// cell-histogram feature maps, haar prefilter integrals, block
-// normalization and quantization, the per-level anchor lattices and
-// response planes, and the window scoring sweep. The first five
-// stages and the tile accounting are the frame stack's
+// cell-histogram feature maps, block normalization and quantization,
+// the per-level anchor lattices and response planes, and the window
+// scoring sweep. Resize, Feature, Blocks, Temporal and the tile
+// accounting are the frame stack's
 // (FrameStack.Timings, once per frame); Response, Windows and
 // Quantized are one sweep's (SweepCtx).
 // DetectTimedCtx reports both for its one-sweep stack. Plane rows are
@@ -182,13 +176,12 @@ type rowScratch struct {
 // fan-out wall time is split between Response and Windows in the
 // ratio of the workers' time in each.
 type ScanTimings struct {
-	Resize    time.Duration // pyramid level resizing
-	Feature   time.Duration // gradient + cell-histogram feature maps
-	Prefilter time.Duration // haar prefilter integral images
-	Blocks    time.Duration // block L2Hys normalization + Q1.14 quantization
-	Response  time.Duration // anchor lattices + response-plane rows
-	Windows   time.Duration // window margins + detection assembly
-	Temporal  time.Duration // tile fingerprinting + dirty-mask dilation
+	Resize   time.Duration // pyramid level resizing
+	Feature  time.Duration // gradient + cell-histogram feature maps
+	Blocks   time.Duration // block L2Hys normalization + Q1.14 quantization
+	Response time.Duration // anchor lattices + response-plane rows
+	Windows  time.Duration // window margins + detection assembly
+	Temporal time.Duration // tile fingerprinting + dirty-mask dilation
 	// TileHits/TileMisses/TileRefreshes are the temporal cache's tile
 	// accounting for this frame (all zero without a cache): reused,
 	// content-changed, and no-comparable-fingerprint tiles.
@@ -217,7 +210,6 @@ type sweepJob struct {
 	sc        *scanScratch
 	m         *sweepModel
 	useQuant  bool
-	usePref   bool
 	serveRows bool // the temporal part holds last frame's rows
 	timed     bool // workers keep their busy and plane-fill times
 	part      *sweepPart
@@ -250,13 +242,8 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, sc *scanScratch, w
 	// silently keeps the float path: quantized scoring is a datapath
 	// model, not a different contract. A repeat Init is a no-op.
 	useQuant := s.Quantized && m.qbm.Init(s.Model, m.bm.BW, m.bm.BH, m.bm.BlockLen, s.Thresh) == nil
-	usePref := false
-	if s.Prefilter != nil {
-		pw, ph := s.Prefilter.Window()
-		usePref = pw == s.WinW && ph == s.WinH
-	}
 	nl, err := st.ensure(ctx, workers, stackNeeds{cfg: s.Cfg, scale: s.Scale, winW: s.WinW, winH: s.WinH,
-		quant: useQuant, integral: usePref})
+		quant: useQuant})
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +274,7 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, sc *scanScratch, w
 			model: s.Model, cfg: s.Cfg,
 			winW: s.WinW, winH: s.WinH, stride: s.Stride,
 			scale: s.Scale, thresh: s.Thresh, quant: s.Quantized,
-			pref: s.Prefilter, w: st.src.W, h: st.src.H,
+			w: st.src.W, h: st.src.H,
 		})
 		prevPart = st.prev(part.gen)
 	}
@@ -351,19 +338,18 @@ func (s windowSweep) run(ctx context.Context, st *FrameStack, sc *scanScratch, w
 	sc.beginWorkers(workers)
 	sc.job = sweepJob{
 		s: s, st: st, sc: sc, m: m,
-		useQuant: useQuant, usePref: usePref, timed: timed,
+		useQuant: useQuant, timed: timed,
 		// Window-row reuse: with a cache holding the previous scan's
 		// rows (same signature, so the task list is identical), any
 		// row whose inputs are untouched this frame produces
 		// byte-identical detections — its scores are pure functions of
-		// blocks and pixels the dirty masks prove unchanged — so the
-		// row task serves the cached slice instead of rescoring it.
+		// blocks the dirty masks prove unchanged — so the row task
+		// serves the cached slice instead of rescoring it.
 		serveRows: prevPart && part.rows.n() == nt,
 		part:      part,
-		// A window's cell rectangle: the larger of its block span and
-		// its pixel span (the haar prefilter reads window pixels).
-		spanCX: max((bw-1)*s.Cfg.BlockStride+s.Cfg.BlockCells, (s.WinW+cell-1)/cell),
-		spanCY: max((bh-1)*s.Cfg.BlockStride+s.Cfg.BlockCells, (s.WinH+cell-1)/cell),
+		// A window's cell rectangle: the cells its blocks read.
+		spanCX: (bw-1)*s.Cfg.BlockStride + s.Cfg.BlockCells,
+		spanCY: (bh-1)*s.Cfg.BlockStride + s.Cfg.BlockCells,
 		tasks:  tasks, bands: sc.bands, results: results,
 	}
 	err = sc.fan.Run(ctx, workers, len(sc.bands), &sc.job)
@@ -484,7 +470,8 @@ func (j *sweepJob) row(rs *rowScratch, ti int) {
 	s, st, part := &j.s, j.st, j.part
 	tc := st.tc
 	rt := j.tasks[ti]
-	if j.serveRows && tc.rowServable(s.Cfg, rt.level, rt.y, s.WinH, j.m.bm.BH) {
+	cy0 := rt.y / s.Cfg.CellSize
+	if j.serveRows && tc.rowServable(rt.level, cy0, cy0+j.spanCY) {
 		j.results[ti] = part.rows.row(ti)
 		return
 	}
@@ -501,10 +488,6 @@ func (j *sweepJob) row(rs *rowScratch, ti int) {
 			Y1: int(float64(rt.y+s.WinH) * fy),
 		}
 	}
-	var it *haar.Integral
-	if j.usePref {
-		it = st.its[rt.level]
-	}
 	ay := rt.y / s.Stride
 	lat := j.sc.lats[rt.level]
 	blocks := st.grids[rt.level].Data()
@@ -518,8 +501,6 @@ func (j *sweepJob) row(rs *rowScratch, ti int) {
 	if rowPartial {
 		cached = part.rows.row(ti)
 	}
-	cell := s.Cfg.CellSize
-	cy0 := rt.y / cell
 	// serve reports whether the window at ax keeps last frame's
 	// verdict, appending its cached detection, if it had one, to
 	// rs.kept.
@@ -544,11 +525,10 @@ func (j *sweepJob) row(rs *rowScratch, ti int) {
 		}
 		return true
 	}
-	// The row's candidates: windows neither served from the cache nor
-	// prefilter-rejected.
+	// The row's candidates: windows not served from the cache.
 	rs.cands, rs.kept = rs.cands[:0], rs.kept[:0]
 	for ax := 0; ax < lat.NAX; ax++ {
-		if serve(ax) || it != nil && !s.Prefilter.AcceptAt(it, ax*s.Stride, rt.y) {
+		if serve(ax) {
 			continue
 		}
 		rs.cands = append(rs.cands, ax) // lint:alloc grows to the widest row once per scratch

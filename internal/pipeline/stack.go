@@ -8,28 +8,27 @@ import (
 	"time"
 
 	"advdet/internal/fixed"
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/par"
 )
 
 // FrameStack is one frame's HOG front end: the gray image, its pyramid
-// levels, each level's gradient/cell-histogram FeatureMap, L2Hys
-// BlockGrid, Q1.14 quantized block plane and haar integral image. It
-// is the software form of the PL's HOG and Normalized-HOG memories
-// (DESIGN §11): written once per frame and only read by the window
-// sweeps — vehicle and pedestrian alike — so a frame that runs two
-// sweeps pays for one front end.
+// levels, and each level's gradient/cell-histogram FeatureMap, L2Hys
+// BlockGrid and Q1.14 quantized block plane. It is the software form
+// of the PL's HOG and Normalized-HOG memories (DESIGN §11): written
+// once per frame and only read by the window sweeps — vehicle and
+// pedestrian alike — so a frame that runs two sweeps pays for one
+// front end.
 //
 // The stack is built lazily. Begin (or BeginRGB) opens a frame; each
 // sweep then brings the stack up to what its window needs: the levels
 // its window fits (so the pyramid is the union over the frame's
 // sweeps) with their feature maps and block grids, and quantized
-// planes or integrals only where the sweep reads them. A product
-// already made this frame is never recomputed. The first sweep fixes
-// the frame's HOG configuration and pyramid scale; a later sweep with
-// a different front end is an error.
+// planes only where the sweep reads them. A product already made this
+// frame is never recomputed. The first sweep fixes the frame's HOG
+// configuration and pyramid scale; a later sweep with a different
+// front end is an error.
 //
 // With a TemporalCache attached (TemporalCache.Stack), products also
 // carry across frames and a frame recomputes only what its dirty tiles
@@ -58,10 +57,9 @@ type FrameStack struct {
 	maps   []*hog.FeatureMap
 	grids  []*hog.BlockGrid
 	qgrids [][]int16
-	its    []*haar.Integral
 	// Generation stamps: the frame each per-level product was last
 	// made at (0 = never).
-	featGen, gridGen, qGen, itGen []uint64
+	featGen, gridGen, qGen []uint64
 	// gmode is the refresh a level's block grid got this frame (full,
 	// partial or clean); the quantized plane follows it.
 	gmode []int
@@ -176,8 +174,8 @@ func (st *FrameStack) BeginRGB(frame *img.RGB, workers int) *img.Gray {
 func (st *FrameStack) Source() *img.Gray { return st.src }
 
 // Timings returns the current frame's front-end stages: resize,
-// feature, prefilter, blocks (normalization plus Q1.14 quantization)
-// and temporal, with the tile accounting when a TemporalCache is
+// feature, blocks (normalization plus Q1.14 quantization) and
+// temporal, with the tile accounting when a TemporalCache is
 // attached. Response and Windows are per sweep and stay zero here.
 func (st *FrameStack) Timings() ScanTimings { return st.tm }
 
@@ -214,11 +212,9 @@ func (st *FrameStack) setLevels(n int) {
 		st.maps = append(st.maps, new(hog.FeatureMap))
 		st.grids = append(st.grids, new(hog.BlockGrid))
 		st.qgrids = append(st.qgrids, nil)
-		st.its = append(st.its, new(haar.Integral))
 		st.featGen = append(st.featGen, 0)
 		st.gridGen = append(st.gridGen, 0)
 		st.qGen = append(st.qGen, 0)
-		st.itGen = append(st.itGen, 0)
 		st.gmode = append(st.gmode, tcFull)
 	}
 }
@@ -229,7 +225,6 @@ type stackNeeds struct {
 	scale      float64
 	winW, winH int
 	quant      bool // Q1.14 block planes (quantized datapath)
-	integral   bool // haar integral images (prefilter)
 }
 
 // ensure brings the stack up to need for the current frame and returns
@@ -318,11 +313,6 @@ func (st *FrameStack) ensure(ctx context.Context, workers int, need stackNeeds) 
 			}
 			st.featGen[i] = st.gen
 			lap(&st.tm.Feature)
-		}
-		if need.integral && st.itGen[i] != st.gen {
-			st.its[i].Compute(level)
-			st.itGen[i] = st.gen
-			lap(&st.tm.Prefilter)
 		}
 		if st.gridGen[i] != st.gen {
 			bg := st.grids[i]

@@ -5,19 +5,10 @@ import (
 	"runtime"
 	"testing"
 
-	"advdet/internal/haar"
 	"advdet/internal/img"
 	"advdet/internal/svm"
 	"advdet/internal/synth"
 )
-
-// edgeCascade is a one-stump prefilter at the given window that accepts
-// a window only when its top half is brighter than its bottom half: a
-// pixel-dependent gate that rejects a real share of the scan lattice.
-func edgeCascade(winW, winH int) *haar.Cascade {
-	return &haar.Cascade{Stages: []*haar.Classifier{{WinW: winW, WinH: winH,
-		Stumps: []haar.Stump{{Feature: haar.Feature{Kind: haar.EdgeH, W: winW, H: winH}, Polarity: 1, Alpha: 1}}}}}
-}
 
 // TestSharedStackMatchesIndependentScans is the shared front end's
 // acceptance gate: a vehicle sweep and a pedestrian sweep over one
@@ -34,18 +25,17 @@ func TestSharedStackMatchesIndependentScans(t *testing.T) {
 	dusk := trainSmall(t, synth.DuskDataset(761, 64, 64, 50, 50, 0))
 	pedBase := trainPed(t, 762)
 	// 1080p is the paper's frame size but costs a second per pass, so
-	// it runs the two extreme lanes at one worker count; the smaller
-	// frames cover the full cross product.
+	// it runs at one worker count; the smaller frames cover the full
+	// cross product.
 	sizes := []struct {
 		name    string
 		w, h    int
 		workers []int
-		lanes   []scanLane
 	}{
-		{"1080p", 1920, 1080, []int{runtime.NumCPU()}, []scanLane{scanLanes[0], scanLanes[3]}},
-		{"360p", 640, 360, []int{1, 2, runtime.NumCPU()}, scanLanes},
-		{"odd", 333, 211, []int{1, 2, runtime.NumCPU()}, scanLanes},
-		{"portrait", 200, 360, []int{1, 2, runtime.NumCPU()}, scanLanes},
+		{"1080p", 1920, 1080, []int{runtime.NumCPU()}},
+		{"360p", 640, 360, []int{1, 2, runtime.NumCPU()}},
+		{"odd", 333, 211, []int{1, 2, runtime.NumCPU()}},
+		{"portrait", 200, 360, []int{1, 2, runtime.NumCPU()}},
 	}
 	if testing.Short() || raceEnabled {
 		sizes = sizes[1:]
@@ -79,17 +69,17 @@ func TestSharedStackMatchesIndependentScans(t *testing.T) {
 			{"select-dusk", f2, dusk, true},
 			{"select-day", f3, day, true},
 		}
-		for _, lane := range size.lanes {
+		for _, lane := range scanLanes {
 			name := size.name + "/" + lane.String()
 			vehicle := func(m *svm.Model) *DayDuskDetector {
 				d := NewDayDuskDetector(m)
 				d.DetectThresh = -0.25 // loosen so every frame yields detections
-				d.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
+				d.ScanConfig = lane.config()
 				return d
 			}
 			ped := *pedBase
 			ped.DetectThresh = -0.25
-			ped.ScanConfig = lane.config(PedWindowW, PedWindowH)
+			ped.ScanConfig = lane.config()
 			wantV := make([][]Detection, len(seq))
 			wantP := make([][]Detection, len(seq))
 			for i, f := range seq {

@@ -8,18 +8,10 @@ import (
 	"slices"
 	"testing"
 
-	"advdet/internal/haar"
 	"advdet/internal/img"
 	"advdet/internal/svm"
 	"advdet/internal/synth"
 )
-
-// constCascade builds a single-stage stump-free cascade at the given
-// window: its stage score is -bias everywhere, so bias < 0 accepts
-// every window and bias > 0 rejects every window.
-func constCascade(winW, winH int, bias float64) *haar.Cascade {
-	return &haar.Cascade{Stages: []*haar.Classifier{{WinW: winW, WinH: winH, Bias: bias}}}
-}
 
 // requireSameDetections asserts got is byte-identical to want:
 // same boxes, kinds, order, and bitwise-equal scores.
@@ -134,82 +126,6 @@ func TestQuantizedBoundedDivergence(t *testing.T) {
 	}
 }
 
-// TestPrefilterGatesWindows pins the haar prefilter seam: a cascade
-// that accepts everything must not change the detection list at all,
-// one that rejects everything must yield zero detections, and one
-// trained at a different window geometry must be ignored (scoring it
-// at the scan's window would read the wrong pixels).
-func TestPrefilterGatesWindows(t *testing.T) {
-	for _, tc := range scanCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := tc.scan(t, 1, ScanConfig{})
-			winW, winH := tc.sweep.WinW, tc.sweep.WinH
-			pass := tc.scan(t, 1, ScanConfig{Prefilter: constCascade(winW, winH, -1)})
-			requireSameDetections(t, "accept-all prefilter", pass, ref)
-			none := tc.scan(t, 1, ScanConfig{Prefilter: constCascade(winW, winH, 1)})
-			if len(none) != 0 {
-				t.Fatalf("reject-all prefilter let %d detections through", len(none))
-			}
-			mismatched := tc.scan(t, 1, ScanConfig{Prefilter: constCascade(winW+8, winH, 1)})
-			requireSameDetections(t, "geometry-mismatched prefilter", mismatched, ref)
-		})
-	}
-}
-
-// TestPrefilterLatticeMatchesScan is the window-geometry audit of the
-// haar cascade against the scan lattice: over randomized image and
-// window geometries (plus the real pyramid sizes of a 640x360 scan),
-// the positions haar.Classifier.Scan visits must be exactly the
-// scanPositions cross product — same counts on both axes, same
-// coordinates. A drift of one position at a boundary (e.g. size
-// exactly one stride past the window) would make the prefilter reject
-// windows the scan evaluates, silently changing detections.
-func TestPrefilterLatticeMatchesScan(t *testing.T) {
-	rng := synth.NewRNG(900)
-	type geom struct{ w, h, winW, winH, stride int }
-	var cases []geom
-	for i := 0; i < 200; i++ {
-		cases = append(cases, geom{
-			w:    rng.IntRange(10, 201),
-			h:    rng.IntRange(10, 201),
-			winW: rng.IntRange(8, 81),
-			winH: rng.IntRange(8, 81),
-			// The scan contract requires stride >= 1 (haar.Scan clamps).
-			stride: rng.IntRange(1, 33),
-		})
-	}
-	// The geometries a real vehicle scan hands the prefilter.
-	for _, s := range img.PyramidSizes(640, 360, 1.25, 64, 64) {
-		cases = append(cases, geom{w: s[0], h: s[1], winW: 64, winH: 64, stride: 16})
-	}
-	for _, c := range cases {
-		g := img.NewGray(c.w, c.h)
-		for i := range g.Pix {
-			g.Pix[i] = uint8(rng.Intn(256))
-		}
-		// A permissive classifier scores every window above threshold,
-		// so Scan's output enumerates its full lattice.
-		cls := &haar.Classifier{WinW: c.winW, WinH: c.winH, Bias: -1}
-		wins := cls.Scan(g, c.stride, 0)
-		nax := scanPositions(c.w, c.winW, c.stride)
-		nay := scanPositions(c.h, c.winH, c.stride)
-		if len(wins) != nax*nay {
-			t.Fatalf("geom %+v: haar lattice has %d positions, scan lattice %d x %d = %d",
-				c, len(wins), nax, nay, nax*nay)
-		}
-		k := 0
-		for ay := 0; ay < nay; ay++ {
-			for ax := 0; ax < nax; ax++ {
-				if wins[k].X != ax*c.stride || wins[k].Y != ay*c.stride {
-					t.Fatalf("geom %+v: position %d at (%d,%d), scan lattice expects (%d,%d)",
-						c, k, wins[k].X, wins[k].Y, ax*c.stride, ay*c.stride)
-				}
-				k++
-			}
-		}
-	}
-}
-
 // TestSetLevelsInvalidatesShrunkEntries is the fails-pre-fix
 // regression for the per-level arena seam: a pyramid that shrinks
 // between borrows must not leave levels beyond the new count holding
@@ -246,10 +162,10 @@ func TestShrinkThenRescan(t *testing.T) {
 	small := scanScene(822, 160, 112)
 	ctx := context.Background()
 	want := NMS(hogOracle(det.sweep(), small), det.NMSIoU)
-	for _, lane := range scanLanes[:2] {
+	for _, lane := range scanLanes {
 		t.Run(lane.String(), func(t *testing.T) {
 			d := *det
-			d.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
+			d.ScanConfig = lane.config()
 			if _, err := d.DetectCtx(ctx, big, 1); err != nil {
 				t.Fatal(err)
 			}

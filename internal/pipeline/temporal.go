@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"advdet/internal/fixed"
-	"advdet/internal/haar"
 	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
@@ -12,7 +11,7 @@ import (
 // only recomputes what the camera changed. Each pyramid level is split
 // into cell-aligned tiles (hog.TileMap), fingerprinted per frame, and
 // the dirty tiles are dilated outward — one-cell halo to cells, block
-// span to blocks, window span to window rows and windows — so every
+// span to blocks, a window's blocks to window rows and windows — so every
 // value reused or refreshed sees exactly the inputs a cold build would
 // read, making cached output byte-identical to a full recompute (up to
 // 64-bit fingerprint collisions; see hog.TileMap). The full-rescan
@@ -141,7 +140,6 @@ type sweepSig struct {
 	winW, winH, stride int
 	scale, thresh      float64
 	quant              bool
-	pref               *haar.Cascade
 	w, h               int
 }
 
@@ -324,23 +322,19 @@ func (tc *TemporalCache) observeTiles(i int, level *img.Gray, c hog.Config) int 
 
 // rowServable reports whether one window row's cached detections are
 // bitwise current. The row is servable when its level is wholly clean,
-// or when none of the cell rows its windows read is dirty this frame —
-// the larger of the block span (block row b reads cell rows [b,
-// b+BlockCells)) and the raw pixel span (the haar prefilter reads
-// window pixels, whose dirt the tile-to-cell halo maps onto the
-// covering cell rows). Row granularity is conservative —
+// or when none of the cell rows [cy0, cy1) its windows' blocks read is
+// dirty this frame: a window's score reads only its blocks. Row
+// granularity is conservative —
 // the whole cell-row band must be clean, not just the window's columns
 // — an O(1) prefix query; stage 3 falls back to per-window queries
 // when the band is dirty but individual windows sit clear of it.
 //
 // lint:hotpath
-func (tc *TemporalCache) rowServable(c hog.Config, level, y, winH, bh int) bool {
+func (tc *TemporalCache) rowServable(level, cy0, cy1 int) bool {
 	switch tc.mode[level] {
 	case tcClean:
 		return true
 	case tcPartial:
-		cy0 := y / c.CellSize
-		cy1 := max((y+winH+c.CellSize-1)/c.CellSize, cy0+(bh-1)*c.BlockStride+c.BlockCells)
 		return tc.cellRectClean(level, 0, cy0, tc.cw[level], cy1)
 	default:
 		return false

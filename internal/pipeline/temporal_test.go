@@ -2,10 +2,15 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 
+	"advdet/internal/hog"
 	"advdet/internal/img"
+	"advdet/internal/svm"
 	"advdet/internal/synth"
 )
 
@@ -42,7 +47,7 @@ func TestTemporalCacheByteIdentical(t *testing.T) {
 		t.Run(lane.String(), func(t *testing.T) {
 			ref := NewDayDuskDetector(model)
 			ref.DetectThresh = -0.25 // loosen so the scene yields detections to compare
-			ref.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
+			ref.ScanConfig = lane.config()
 			want := make([][]Detection, len(frames))
 			for i, f := range frames {
 				dets, err := ref.DetectCtx(ctx, f.frame, 1)
@@ -57,7 +62,7 @@ func TestTemporalCacheByteIdentical(t *testing.T) {
 			for _, workers := range []int{1, 2, runtime.NumCPU()} {
 				det := NewDayDuskDetector(model)
 				det.DetectThresh = -0.25
-				det.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
+				det.ScanConfig = lane.config()
 				det.Temporal = NewTemporalCache()
 				for i, f := range frames {
 					dets, err := det.DetectCtx(ctx, f.frame, workers)
@@ -122,11 +127,19 @@ func TestTemporalCacheShrinkInvalidates(t *testing.T) {
 // TestTemporalCacheRandomGeometries is the randomized property test:
 // across 200 pyramid geometries and random dirty rectangles, a cached
 // warm scan is byte-identical to a cache-off scan of the same pixels,
-// under every scan lane in rotation.
+// under every scan lane in rotation. Beside the 64x64 vehicle window,
+// whose pixel span and block span coincide, each geometry also sweeps
+// a window of 60-76 px a side, mostly off the 8-px cell grid, with a
+// random model thresholded at its median margin, compared before NMS: its ragged
+// pixels are read by no block, so the cache may serve it over dirt
+// there, but a window must be rescored when any cell its blocks read
+// is dirty.
 func TestTemporalCacheRandomGeometries(t *testing.T) {
 	model := trainSmall(t, synth.DayDataset(760, 64, 64, 40, 40))
 	ctx := context.Background()
 	rng := synth.NewRNG(761)
+	wrng := synth.NewRNG(961) // the off-grid windows' own stream
+	offGrid := 0
 	for i := 0; i < 200; i++ {
 		w := 96 + rng.Intn(160)
 		h := 80 + rng.Intn(120)
@@ -134,10 +147,41 @@ func TestTemporalCacheRandomGeometries(t *testing.T) {
 		base := scanScene(uint64(762+i), w, h)
 
 		ref := NewDayDuskDetector(model)
-		ref.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
+		ref.ScanConfig = lane.config()
 		det := NewDayDuskDetector(model)
-		det.ScanConfig = lane.config(VehicleWindow, VehicleWindow)
+		det.ScanConfig = lane.config()
 		det.Temporal = NewTemporalCache()
+
+		cfg := hog.DefaultConfig()
+		off := windowSweep{
+			Cfg:  cfg,
+			WinW: 60 + wrng.Intn(17), WinH: 60 + wrng.Intn(17),
+			Stride: cfg.CellSize, Scale: 1.25,
+			Kind: KindVehicle, ScanConfig: lane.config(),
+		}
+		if off.WinW%cfg.CellSize != 0 || off.WinH%cfg.CellSize != 0 {
+			offGrid++
+		}
+		off.Model = &svm.Model{W: make([]float64, cfg.DescriptorLen(off.WinW, off.WinH))}
+		for k := range off.Model.W {
+			off.Model.W[k] = wrng.Range(-1, 1)
+		}
+		offCold, offWarm := NewFrameStack(), NewTemporalCache().Stack()
+		// Threshold at the median margin of the cold frame, so the sweep
+		// keeps about half its windows and rejects the rest.
+		all := off
+		all.Thresh = math.Inf(-1)
+		offCold.Begin(base)
+		dets, err := sweepDets(ctx, all, offCold, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		margins := make([]float64, len(dets))
+		for k, d := range dets {
+			margins[k] = d.Score
+		}
+		slices.Sort(margins)
+		off.Thresh = margins[len(margins)/2]
 
 		// Cold frame, then 1-2 warm frames with random dirty rects
 		// (possibly empty: an unchanged warm frame).
@@ -162,7 +206,23 @@ func TestTemporalCacheRandomGeometries(t *testing.T) {
 					t.Fatalf("geometry %d (%dx%d %s) frame %d: detection %d = %+v, want %+v", i, w, h, lane, frame, j, got[j], want[j])
 				}
 			}
+
+			offCold.Begin(base)
+			want, err = sweepDets(ctx, off, offCold, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offWarm.Begin(base)
+			got, err = sweepDets(ctx, off, offWarm, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameDetections(t, fmt.Sprintf("geometry %d (%dx%d %s, %dx%d window) frame %d",
+				i, w, h, lane, off.WinW, off.WinH, frame), got, want)
 		}
+	}
+	if offGrid < 150 {
+		t.Fatalf("only %d of 200 windows leave the cell grid", offGrid)
 	}
 }
 
