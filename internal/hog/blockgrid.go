@@ -3,8 +3,6 @@ package hog
 import (
 	"context"
 	"fmt"
-
-	"advdet/internal/par"
 )
 
 // BlockGrid is the per-level output of the paper's block-normalization
@@ -33,42 +31,107 @@ type BlockGrid struct {
 	nbx, nby int // blocks per axis (one per cell offset)
 	blockLen int
 	norm     []float64 // (cy*nbx+cx)*blockLen holds block (cx, cy)
-
-	fan par.Fanout // fans block rows out
-	job blockJob   // the pass fan is running
 }
 
-// blockJob is one normalization pass over a BlockGrid's rows: every
-// block of each row, or only the blocks marked in dirty.
-type blockJob struct {
+// BlockPass is one block-normalization stage over any number of
+// grids, the levels of a pyramid say: a flat list of (grid, block row)
+// tasks that the caller runs as one par.Job on its own fan-out, as
+// FeaturePass does for the feature maps. A full grid contributes every
+// block row, a dirty refresh only the rows holding dirty blocks. Every
+// task writes its own block row of its own grid, so the pass is
+// deterministic at every worker count.
+//
+// The zero value is ready; Reset empties it for the next pass, keeping
+// its buffers. A pass is not safe for concurrent Adds.
+type BlockPass struct {
+	grids []blockPassGrid
+	tasks []passTask
+}
+
+// blockPassGrid is one grid of a BlockPass and its inputs.
+type blockPassGrid struct {
 	bg    *BlockGrid
 	fm    *FeatureMap
 	dirty []bool // nil: every block
 }
 
-// Do normalizes block row cy.
-//
-// lint:hotpath
-func (j *blockJob) Do(_, cy int) {
-	bg := j.bg
-	if j.dirty == nil {
-		bg.normalizeRow(j.fm, cy)
+// Add sets bg up for fm and queues all of its block rows. Every block
+// is fully overwritten, so reusing bg's buffer never leaks state
+// across frames. fm must be complete when the pass runs, and bg must
+// not be read until the pass has run without error.
+func (p *BlockPass) Add(bg *BlockGrid, fm *FeatureMap) {
+	c := fm.Cfg
+	bg.Cfg = c
+	bg.blockLen = c.BlockCells * c.BlockCells * c.Bins
+	bg.nbx, bg.nby = fm.cw-c.BlockCells+1, fm.ch-c.BlockCells+1
+	if bg.nbx <= 0 || bg.nby <= 0 {
+		bg.nbx, bg.nby = 0, 0
+		bg.norm = bg.norm[:0] // grid smaller than one block
 		return
 	}
-	for cx, d := range j.dirty[cy*bg.nbx : (cy+1)*bg.nbx] {
+	if n := bg.nbx * bg.nby * bg.blockLen; cap(bg.norm) < n {
+		bg.norm = make([]float64, n)
+	} else {
+		bg.norm = bg.norm[:n]
+	}
+	p.add(bg, fm, nil)
+}
+
+// AddDirty queues a refresh of only the blocks marked in dirty (an
+// nbx*nby row-major mask, as produced by DilateCellsToBlocks), leaving
+// every other block's normalized vector untouched from the previous
+// full pass against the same feature map. The caller guarantees that
+// unmarked blocks' cells are unchanged since that pass; the refreshed
+// grid is then bitwise identical to a full recompute. It fails,
+// queueing nothing, on any geometry mismatch with the cached pass.
+func (p *BlockPass) AddDirty(bg *BlockGrid, fm *FeatureMap, dirty []bool) error {
+	c := fm.Cfg
+	nbx, nby := fm.cw-c.BlockCells+1, fm.ch-c.BlockCells+1
+	if c != bg.Cfg || nbx != bg.nbx || nby != bg.nby {
+		return fmt.Errorf("hog: dirty refresh of %dx%d block grid from %dx%d cell map", bg.nbx, bg.nby, fm.cw, fm.ch) // lint:alloc cold validation error path; callers invalidate and recompute fully
+	}
+	if len(dirty) != nbx*nby {
+		return fmt.Errorf("hog: dirty mask holds %d blocks, grid has %dx%d", len(dirty), nbx, nby) // lint:alloc cold validation error path
+	}
+	p.add(bg, fm, dirty)
+	return nil
+}
+
+// add queues the rows of bg that the entry computes.
+func (p *BlockPass) add(bg *BlockGrid, fm *FeatureMap, dirty []bool) {
+	ent := int32(len(p.grids))
+	p.grids = append(p.grids, blockPassGrid{bg: bg, fm: fm, dirty: dirty}) // lint:alloc grows to the largest pyramid once, then reused across frames
+	p.tasks = appendRows(p.tasks, ent, bg.nby, bg.nbx, dirty)
+}
+
+// Len returns the number of row tasks queued.
+func (p *BlockPass) Len() int { return len(p.tasks) }
+
+// Do normalizes row task i.
+//
+// lint:hotpath
+func (p *BlockPass) Do(_, i int) {
+	t := p.tasks[i]
+	e := &p.grids[t.ent]
+	bg, cy := e.bg, int(t.row)
+	if e.dirty == nil {
+		if !bg.normalizeRowAsm(e.fm, cy) {
+			bg.normalizeTail(e.fm, 0, cy)
+		}
+		return
+	}
+	for cx, d := range e.dirty[cy*bg.nbx : (cy+1)*bg.nbx] {
 		if d {
-			bg.normalizeBlock(j.fm, cx, cy)
+			bg.normalizeBlock(e.fm, cx, cy)
 		}
 	}
 }
 
-// run fans the pass over every block row on bg's own fan-out, dropping
-// the job's references to the feature map afterwards.
-func (bg *BlockGrid) run(ctx context.Context, workers int, fm *FeatureMap, dirty []bool) error {
-	bg.job = blockJob{bg: bg, fm: fm, dirty: dirty}
-	err := bg.fan.Run(ctx, workers, bg.nby, &bg.job)
-	bg.job = blockJob{}
-	return err
+// Reset empties the pass, dropping its references to grids and maps
+// and keeping its buffers.
+func (p *BlockPass) Reset() {
+	clear(p.grids)
+	p.grids, p.tasks = p.grids[:0], p.tasks[:0]
 }
 
 // NewBlockGridCtx computes the normalized block grid of fm with block
@@ -85,33 +148,20 @@ func NewBlockGridCtx(ctx context.Context, fm *FeatureMap, workers int) (*BlockGr
 }
 
 // ComputeCtx fills bg from fm, reusing bg's buffer when it has
-// sufficient capacity. Every block is fully overwritten, so reuse
-// never leaks state across frames. On a non-nil error the grid is
-// partial and must not be read.
-//
-// lint:hotpath
+// sufficient capacity: a one-grid BlockPass on a one-off fan-out (a
+// frame stack batches its levels into one pass instead). On a non-nil
+// error the grid is partial and must not be read.
 func (bg *BlockGrid) ComputeCtx(ctx context.Context, fm *FeatureMap, workers int) error {
-	c := fm.Cfg
-	bg.Cfg = c
-	bg.blockLen = c.BlockCells * c.BlockCells * c.Bins
-	bg.nbx, bg.nby = fm.cw-c.BlockCells+1, fm.ch-c.BlockCells+1
-	if bg.nbx <= 0 || bg.nby <= 0 {
-		bg.nbx, bg.nby = 0, 0
-		bg.norm = bg.norm[:0] // grid smaller than one block
-		return ctx.Err()
-	}
-	n := bg.nbx * bg.nby * bg.blockLen
-	if cap(bg.norm) < n {
-		bg.norm = make([]float64, n)
-	} else {
-		bg.norm = bg.norm[:n]
-	}
-	return bg.run(ctx, workers, fm, nil)
+	var p BlockPass
+	p.Add(bg, fm)
+	return runPass(ctx, workers, &p)
 }
 
-// normalizeRow copies and L2Hys-normalizes every block of block row
-// cy. Each row reads the shared histogram and writes a disjoint slice
-// of norm, which is what lets ComputeCtx fan rows across workers.
+// normalizeTail copies and L2Hys-normalizes the blocks of block row cy
+// from cx0 on: with cx0 = 0 the whole row, the portable body and the
+// oracle of the vector one (normalizeRowAsm). Each row reads the
+// shared histogram and writes a disjoint slice of norm, which is what
+// lets a BlockPass fan rows across workers.
 //
 // The sum of squares for the first l2hys pass is accumulated during
 // the copy itself, in l2hys's element order, so the fused result is
@@ -122,8 +172,8 @@ func (bg *BlockGrid) ComputeCtx(ctx context.Context, fm *FeatureMap, workers int
 // pairing is bitwise neutral.
 //
 // lint:hotpath
-func (bg *BlockGrid) normalizeRow(fm *FeatureMap, cy int) {
-	cx := 0
+func (bg *BlockGrid) normalizeTail(fm *FeatureMap, cx0, cy int) {
+	cx := cx0
 	for ; cx+1 < bg.nbx; cx += 2 {
 		bg.normalizePair(fm, cx, cy)
 	}
@@ -158,8 +208,8 @@ func (bg *BlockGrid) normalizePair(fm *FeatureMap, cx, cy int) {
 			for i, x := range srcA {
 				y := srcB[i]
 				da[i], db[i] = x, y
-				ssa += x * x
-				ssb += y * y
+				ssa += float64(x * x)
+				ssb += float64(y * y)
 			}
 			j += c.Bins
 		}
@@ -168,7 +218,7 @@ func (bg *BlockGrid) normalizePair(fm *FeatureMap, cx, cy int) {
 }
 
 // normalizeBlock copies and L2Hys-normalizes the single block whose
-// top-left cell is (cx, cy) — the per-block body of normalizeRow,
+// top-left cell is (cx, cy) — the per-block body of normalizeTail,
 // byte for byte: a block's vector is a pure function of its own cells,
 // so refreshing one block in place is bitwise identical to the full
 // row pass. The temporal scan cache leans on exactly that.
@@ -185,7 +235,7 @@ func (bg *BlockGrid) normalizeBlock(fm *FeatureMap, cx, cy int) {
 			src := fm.hist[row+dx*c.Bins : row+(dx+1)*c.Bins]
 			for i, x := range src {
 				blk[j+i] = x
-				ss += x * x
+				ss += float64(x * x)
 			}
 			j += c.Bins
 		}
@@ -193,26 +243,15 @@ func (bg *BlockGrid) normalizeBlock(fm *FeatureMap, cx, cy int) {
 	l2hysSS(blk, c.ClipL2Hys, ss)
 }
 
-// ComputeDirtyCtx refreshes only the blocks marked in dirty (an
-// nbx*nby row-major mask, as produced by DilateCellsToBlocks), leaving
-// every other block's normalized vector untouched from the previous
-// ComputeCtx against the same feature map. The caller guarantees that
-// unmarked blocks' cells are unchanged since that pass; the refreshed
-// grid is then bitwise identical to a full recompute at every worker
-// count. It fails, without touching the grid, on any geometry mismatch
-// with the cached pass.
-//
-// lint:hotpath
+// ComputeDirtyCtx refreshes only the blocks marked in dirty, as
+// BlockPass.AddDirty describes, on a one-off fan-out. It fails,
+// without touching the grid, on the mismatches AddDirty refuses.
 func (bg *BlockGrid) ComputeDirtyCtx(ctx context.Context, fm *FeatureMap, workers int, dirty []bool) error {
-	c := fm.Cfg
-	nbx, nby := fm.cw-c.BlockCells+1, fm.ch-c.BlockCells+1
-	if c != bg.Cfg || nbx != bg.nbx || nby != bg.nby {
-		return fmt.Errorf("hog: dirty refresh of %dx%d block grid from %dx%d cell map", bg.nbx, bg.nby, fm.cw, fm.ch) // lint:alloc cold validation error path; callers invalidate and recompute fully
+	var p BlockPass
+	if err := p.AddDirty(bg, fm, dirty); err != nil {
+		return err
 	}
-	if len(dirty) != nbx*nby {
-		return fmt.Errorf("hog: dirty mask holds %d blocks, grid has %dx%d", len(dirty), nbx, nby) // lint:alloc cold validation error path
-	}
-	return bg.run(ctx, workers, fm, dirty)
+	return runPass(ctx, workers, &p)
 }
 
 // Dims returns the block-grid dimensions (blocks per axis).

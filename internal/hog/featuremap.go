@@ -3,6 +3,7 @@ package hog
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"advdet/internal/img"
 	"advdet/internal/par"
@@ -29,162 +30,67 @@ type FeatureMap struct {
 
 	cw, ch int       // cell-grid dimensions
 	hist   []float64 // cell-major histograms, as Config.CellHistograms
-
-	fan par.Fanout // fans every compute stage's rows out
-	job featureJob // the stage fan is running
 }
 
-// Feature-map compute stages, each fanned out one row per index.
-const (
-	stageLUT      = iota // fused gradient + histogram cell rows
-	stageGradient        // gradient pixel rows
-	stageHist            // cell-histogram rows from the gradient planes
-	stageDirty           // LUT refresh of a row's dirty cells
-)
-
-// featureJob is one compute stage of a FeatureMap: the stage's inputs,
-// set for the duration of one fan-out.
-type featureJob struct {
-	m        *FeatureMap
-	stage    int
-	g        *img.Gray
-	mag, ang []float32
-	binWidth float64
-	dirty    []bool
-}
-
-// Do computes row i of the job's stage.
+// FeaturePass is one feature-map stage over any number of maps, the
+// levels of a pyramid say: a flat list of (map, cell row) tasks that
+// the caller runs as one par.Job on its own fan-out, so a whole
+// pyramid costs one fan-out instead of one per level. A full map
+// contributes every cell row, a dirty refresh only the rows holding
+// dirty cells. Every task writes its own cell row, and each row is
+// bitwise the same whichever worker runs it, so the pass is
+// deterministic at every worker count.
 //
-// lint:hotpath
-func (j *featureJob) Do(_, i int) {
-	m, c, g := j.m, j.m.Cfg, j.g
-	switch j.stage {
-	case stageLUT:
-		if !c.cellRowHistogramsAsm(g.Pix, g.W, g.H, i, m.cw, m.hist) {
-			c.cellRowHistogramsLUT(g.Pix, g.W, g.H, i, m.cw, m.hist)
-		}
-	case stageGradient:
-		gradientRow(g, i, j.mag, j.ang)
-	case stageHist:
-		c.cellRowHistograms(g.W, i, m.cw, j.mag, j.ang, j.binWidth, m.hist)
-	case stageDirty:
-		for cx, d := range j.dirty[i*m.cw : (i+1)*m.cw] {
-			if d {
-				c.cellHistogramLUT(g.Pix, g.W, g.H, cx, i, m.hist[(i*m.cw+cx)*lutBins:][:lutBins])
-			}
-		}
-	}
+// The zero value is ready; Reset empties it for the next pass, keeping
+// its buffers. A pass is not safe for concurrent Adds.
+type FeaturePass struct {
+	maps  []featurePassMap
+	tasks []passTask
 }
 
-// run fans stage j over n rows on m's own fan-out, dropping the job's
-// references to the caller's planes afterwards.
-func (m *FeatureMap) run(ctx context.Context, workers, n int, j featureJob) error {
-	m.job = j
-	m.job.m = m
-	err := m.fan.Run(ctx, workers, n, &m.job)
-	m.job = featureJob{}
-	return err
+// featurePassMap is one map of a FeaturePass and its inputs.
+type featurePassMap struct {
+	m     *FeatureMap
+	g     *img.Gray
+	dirty []bool // nil: every cell
 }
 
-// Scratch holds the reusable intermediate buffers of feature-map
-// construction (the per-pixel gradient planes), so a steady-state scan
-// loop can recompute caches every frame without reallocating. The zero
-// value is ready: buffers grow on first use and are reused afterwards.
-// A Scratch serves one computation at a time; it is not safe for
-// concurrent use by multiple computations.
-type Scratch struct {
-	mag, ang []float32
-}
+// passTask is row row of the pass's entry at index ent.
+type passTask struct{ ent, row int32 }
 
-// grads returns the gradient planes sized for n pixels, growing the
-// backing arrays only when capacity is insufficient.
-func (s *Scratch) grads(n int) (mag, ang []float32) {
-	if cap(s.mag) < n {
-		s.mag = make([]float32, n)
-	}
-	if cap(s.ang) < n {
-		s.ang = make([]float32, n)
-	}
-	return s.mag[:n], s.ang[:n]
-}
-
-// NewFeatureMap computes the cache serially.
-func (c Config) NewFeatureMap(g *img.Gray) *FeatureMap {
-	fm, _ := c.NewFeatureMapCtx(context.Background(), g, 1) // lint:ctxroot serial wrapper; background ctx cannot fail
-	return fm
-}
-
-// NewFeatureMapCtx computes the cache with both stages fanned out
-// across workers goroutines (workers <= 0 means NumCPU): gradient
-// rows first, then cell-histogram rows. The result is bitwise
-// identical for every worker count. On cancellation the partial map
-// is discarded and the context's error returned.
-func (c Config) NewFeatureMapCtx(ctx context.Context, g *img.Gray, workers int) (*FeatureMap, error) {
-	fm := &FeatureMap{}
-	if err := fm.ComputeCtx(ctx, c, g, workers, nil); err != nil {
-		return nil, err
-	}
-	return fm, nil
-}
-
-// ComputeCtx fills m with the cache for g, reusing m's histogram
-// buffer and s's gradient planes when they have sufficient capacity
-// (s may be nil for one-shot use). The computed map is bitwise
-// identical to NewFeatureMapCtx at every worker count; buffer reuse
-// never leaks state because the histogram is zeroed before
-// accumulation and the gradient planes are fully overwritten. On a
-// non-nil error the map is partial and must not be read.
-func (m *FeatureMap) ComputeCtx(ctx context.Context, c Config, g *img.Gray, workers int, s *Scratch) error {
+// Add sets m up for g under c and queues all of its cell rows: each
+// row task zeroes and recomputes its cells, so reusing m's buffer
+// never leaks state across frames. The map must not be read until the
+// pass has run without error.
+func (p *FeaturePass) Add(m *FeatureMap, c Config, g *img.Gray) {
 	c.validate()
 	cw, ch := c.CellsFor(g.W, g.H)
 	m.Cfg, m.W, m.H, m.cw, m.ch = c, g.W, g.H, cw, ch
 	if cw == 0 || ch == 0 {
 		m.hist = m.hist[:0] // image smaller than one cell: empty grid
-		return ctx.Err()
+		return
 	}
-	n := cw * ch * c.Bins
-	if cap(m.hist) < n {
+	if n := cw * ch * c.Bins; cap(m.hist) < n {
 		m.hist = make([]float64, n)
 	} else {
 		m.hist = m.hist[:n]
-		clear(m.hist) // cell rows accumulate with +=
 	}
 	if c.Bins == lutBins {
-		// Fused LUT path: gradients and histogram weights come from
-		// the per-(dx,dy) table in one pass, bitwise identical to the
-		// two-stage scalar path below.
 		ensureHistLUT()
-		return m.run(ctx, workers, ch, featureJob{stage: stageLUT, g: g})
 	}
-	if s == nil {
-		s = &Scratch{}
-	}
-	mag, ang := s.grads(g.W * g.H)
-	if err := m.run(ctx, workers, g.H, featureJob{stage: stageGradient, g: g, mag: mag, ang: ang}); err != nil {
-		return err
-	}
-	return m.run(ctx, workers, ch, featureJob{stage: stageHist, g: g, mag: mag, ang: ang, binWidth: 180.0 / float64(c.Bins)})
+	p.add(m, g, nil)
 }
 
-// SupportsDirtyRefresh reports whether ComputeDirtyCtx can refresh
-// this configuration's cells selectively: only the fused LUT path has
-// the per-cell recompute whose accumulation order is provably
-// identical to the full pass. Other bin counts must recompute the
-// whole map.
-func (c Config) SupportsDirtyRefresh() bool { return c.Bins == lutBins }
-
-// ComputeDirtyCtx refreshes only the cells marked in dirty (a cw*ch
+// AddDirty queues a refresh of only the cells marked in dirty (a cw*ch
 // row-major mask, as produced by TileMap.DirtyCellMask), leaving every
-// other cell's histogram untouched from the previous ComputeCtx. The
+// other cell's histogram untouched from the previous full pass. The
 // caller guarantees that unmarked cells' input pixels — including the
 // one-pixel replicate-padded stencil border — are unchanged since that
 // pass; the refreshed map is then bitwise identical to a full
-// recompute at every worker count. It fails, without touching the map,
-// when the config or image geometry differs from the cached pass or
-// the config has no LUT path (SupportsDirtyRefresh).
-//
-// lint:hotpath
-func (m *FeatureMap) ComputeDirtyCtx(ctx context.Context, c Config, g *img.Gray, workers int, dirty []bool) error {
+// recompute. It fails, queueing nothing, when the config or image
+// geometry differs from the cached pass or the config has no LUT path
+// (SupportsDirtyRefresh). The pass reads dirty when it runs.
+func (p *FeaturePass) AddDirty(m *FeatureMap, c Config, g *img.Gray, dirty []bool) error {
 	c.validate()
 	if c != m.Cfg || g.W != m.W || g.H != m.H {
 		return fmt.Errorf("hog: dirty refresh of %dx%d %+v map with %dx%d %+v inputs", m.W, m.H, m.Cfg, g.W, g.H, c) // lint:alloc cold validation error path; callers invalidate and recompute fully
@@ -196,7 +102,124 @@ func (m *FeatureMap) ComputeDirtyCtx(ctx context.Context, c Config, g *img.Gray,
 		return fmt.Errorf("hog: dirty mask holds %d cells, grid has %dx%d", len(dirty), m.cw, m.ch) // lint:alloc cold validation error path
 	}
 	ensureHistLUT()
-	return m.run(ctx, workers, m.ch, featureJob{stage: stageDirty, g: g, dirty: dirty})
+	p.add(m, g, dirty)
+	return nil
+}
+
+// add queues the rows of m that the entry computes.
+func (p *FeaturePass) add(m *FeatureMap, g *img.Gray, dirty []bool) {
+	ent := int32(len(p.maps))
+	p.maps = append(p.maps, featurePassMap{m: m, g: g, dirty: dirty}) // lint:alloc grows to the largest pyramid once, then reused across frames
+	p.tasks = appendRows(p.tasks, ent, m.ch, m.cw, dirty)
+}
+
+// appendRows queues rows [0, rows) of entry ent, or with a dirty mask
+// of width cells a row only when it holds a marked cell.
+func appendRows(tasks []passTask, ent int32, rows, width int, dirty []bool) []passTask {
+	for r := 0; r < rows; r++ {
+		if dirty == nil || slices.Contains(dirty[r*width:(r+1)*width], true) {
+			tasks = append(tasks, passTask{ent: ent, row: int32(r)}) // lint:alloc grows to the largest pyramid once, then reused across frames
+		}
+	}
+	return tasks
+}
+
+// Len returns the number of row tasks queued.
+func (p *FeaturePass) Len() int { return len(p.tasks) }
+
+// Do computes row task i.
+//
+// lint:hotpath
+func (p *FeaturePass) Do(_, i int) {
+	t := p.tasks[i]
+	e := &p.maps[t.ent]
+	m, g, cy := e.m, e.g, int(t.row)
+	c := m.Cfg
+	if e.dirty != nil {
+		for cx, d := range e.dirty[cy*m.cw : (cy+1)*m.cw] {
+			if d {
+				c.cellHistogramLUT(g.Pix, g.W, g.H, cx, cy, m.hist[(cy*m.cw+cx)*lutBins:][:lutBins])
+			}
+		}
+		return
+	}
+	if c.Bins == lutBins && c.cellRowHistogramsAsm(g.Pix, g.W, g.H, cy, m.cw, m.hist) {
+		return // the vector body stores every cell of the row
+	}
+	clear(m.hist[cy*m.cw*c.Bins : (cy+1)*m.cw*c.Bins]) // the Go bodies accumulate with +=
+	if c.Bins == lutBins {
+		// Fused LUT path: gradients and histogram weights come from
+		// the per-(dx,dy) table in one pass, bitwise identical to the
+		// scalar path below.
+		c.cellRowHistogramsLUT(g.Pix, g.W, g.H, cy, m.cw, m.hist)
+		return
+	}
+	c.cellRowHistograms(g, cy, m.cw, m.hist)
+}
+
+// Reset empties the pass, dropping its references to maps and images
+// and keeping its buffers.
+func (p *FeaturePass) Reset() {
+	clear(p.maps)
+	p.maps, p.tasks = p.maps[:0], p.tasks[:0]
+}
+
+// runPass runs a one-off pass on a fresh fan-out and resets it.
+func runPass(ctx context.Context, workers int, job interface {
+	par.Job
+	Len() int
+	Reset()
+}) error {
+	defer job.Reset()
+	return new(par.Fanout).Run(ctx, workers, job.Len(), job)
+}
+
+// NewFeatureMap computes the cache serially.
+func (c Config) NewFeatureMap(g *img.Gray) *FeatureMap {
+	fm, _ := c.NewFeatureMapCtx(context.Background(), g, 1) // lint:ctxroot serial wrapper; background ctx cannot fail
+	return fm
+}
+
+// NewFeatureMapCtx computes the cache with cell rows fanned out across
+// workers goroutines (workers <= 0 means NumCPU). The result is
+// bitwise identical for every worker count. On cancellation the
+// partial map is discarded and the context's error returned.
+func (c Config) NewFeatureMapCtx(ctx context.Context, g *img.Gray, workers int) (*FeatureMap, error) {
+	fm := &FeatureMap{}
+	if err := fm.ComputeCtx(ctx, c, g, workers); err != nil {
+		return nil, err
+	}
+	return fm, nil
+}
+
+// ComputeCtx fills m with the cache for g, reusing m's histogram
+// buffer when it has sufficient capacity: a one-map FeaturePass on a
+// one-off fan-out (a frame stack batches its levels into one pass
+// instead). The computed map is bitwise identical to NewFeatureMapCtx
+// at every worker count. On a non-nil error the map is partial and
+// must not be read.
+func (m *FeatureMap) ComputeCtx(ctx context.Context, c Config, g *img.Gray, workers int) error {
+	var p FeaturePass
+	p.Add(m, c, g)
+	return runPass(ctx, workers, &p)
+}
+
+// SupportsDirtyRefresh reports whether ComputeDirtyCtx can refresh
+// this configuration's cells selectively: only the fused LUT path has
+// the per-cell recompute whose accumulation order is provably
+// identical to the full pass. Other bin counts must recompute the
+// whole map.
+func (c Config) SupportsDirtyRefresh() bool { return c.Bins == lutBins }
+
+// ComputeDirtyCtx refreshes only the cells marked in dirty, as
+// FeaturePass.AddDirty describes, on a one-off fan-out. It fails,
+// without touching the map, on the mismatches AddDirty refuses.
+func (m *FeatureMap) ComputeDirtyCtx(ctx context.Context, c Config, g *img.Gray, workers int, dirty []bool) error {
+	var p FeaturePass
+	if err := p.AddDirty(m, c, g, dirty); err != nil {
+		return err
+	}
+	return runPass(ctx, workers, &p)
 }
 
 // Aligned reports whether a window anchored at (x, y) lies on the

@@ -22,18 +22,31 @@ func noisy(w, h int) *img.Gray {
 	return g
 }
 
+// TestFeatureMapWholeImageMatchesExtract: a whole-image descriptor
+// from the cache equals Extract's, bitwise, for the 9-bin LUT path
+// and a 6-bin config on the scalar gradient path, with the map reused
+// from a different image first so each row task must zero its cells.
 func TestFeatureMapWholeImageMatchesExtract(t *testing.T) {
-	cfg := DefaultConfig()
-	g := noisy(64, 64)
-	fm := cfg.NewFeatureMap(g)
-	got := fm.Descriptor(0, 0, 64, 64, nil)
-	want := cfg.Extract(g)
-	if len(got) != len(want) {
-		t.Fatalf("descriptor length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("descriptor[%d] = %v, want %v (cache must be bitwise exact)", i, got[i], want[i])
+	sixBins := DefaultConfig()
+	sixBins.Bins = 6
+	for _, cfg := range []Config{DefaultConfig(), sixBins} {
+		g := noisy(64, 64)
+		var fm FeatureMap
+		if err := fm.ComputeCtx(context.Background(), cfg, noisy(72, 64), 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := fm.ComputeCtx(context.Background(), cfg, g, 2); err != nil {
+			t.Fatal(err)
+		}
+		got := fm.Descriptor(0, 0, 64, 64, nil)
+		want := cfg.Extract(g)
+		if len(got) != len(want) {
+			t.Fatalf("%d bins: descriptor length %d, want %d", cfg.Bins, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d bins: descriptor[%d] = %v, want %v (cache must be bitwise exact)", cfg.Bins, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"advdet/internal/cpu"
 	"advdet/internal/img"
+	"advdet/internal/par"
 	"advdet/internal/synth"
 )
 
@@ -112,7 +113,7 @@ func FuzzCellHistograms(f *testing.F) {
 		for _, workers := range []int{1, 2} {
 			name := fmt.Sprintf("%dx%d kind %d workers %d", w, h, kind%4, workers)
 			var m FeatureMap
-			if err := m.ComputeCtx(context.Background(), c, g, workers, nil); err != nil {
+			if err := m.ComputeCtx(context.Background(), c, g, workers); err != nil {
 				t.Fatal(err)
 			}
 			if !sameBits(m.hist, want.hist) {
@@ -143,7 +144,7 @@ func TestFeatureMapDirtyRefreshMatchesFull(t *testing.T) {
 		tm := NewTileMap(DefaultTileSize)
 		tm.Update(g)
 		var m FeatureMap
-		if err := m.ComputeCtx(ctx, c, g, 2, nil); err != nil {
+		if err := m.ComputeCtx(ctx, c, g, 2); err != nil {
 			t.Fatal(err)
 		}
 		tx, ty := tm.Dims()
@@ -165,7 +166,7 @@ func TestFeatureMapDirtyRefreshMatchesFull(t *testing.T) {
 				t.Fatal(err)
 			}
 			var full FeatureMap
-			if err := full.ComputeCtx(ctx, c, g, 1, nil); err != nil {
+			if err := full.ComputeCtx(ctx, c, g, 1); err != nil {
 				t.Fatal(err)
 			}
 			if !sameBits(m.hist, full.hist) {
@@ -197,18 +198,22 @@ func pyramidBytes(levels []*img.Gray) int64 {
 }
 
 // BenchmarkFeatureMap1080 computes the feature maps of a 1080p day
-// pyramid serially into reused maps, as a frame stack does. Bytes are
-// pyramid pixels.
+// pyramid serially into reused maps, as one FeaturePass on a reused
+// fan-out, the way a frame stack runs it. Bytes are pyramid pixels.
 func BenchmarkFeatureMap1080(b *testing.B) {
 	c := DefaultConfig()
 	levels := drivePyramid1080()
 	maps := make([]FeatureMap, len(levels))
+	var fan par.Fanout
+	var pass FeaturePass
 	build := func() {
 		for i, g := range levels {
-			if err := maps[i].ComputeCtx(context.Background(), c, g, 1, nil); err != nil {
-				b.Fatal(err)
-			}
+			pass.Add(&maps[i], c, g)
 		}
+		if err := fan.Run(context.Background(), 1, pass.Len(), &pass); err != nil {
+			b.Fatal(err)
+		}
+		pass.Reset()
 	}
 	build() // size the maps and build the LUT outside the timed loop
 	b.SetBytes(pyramidBytes(levels))
@@ -220,22 +225,26 @@ func BenchmarkFeatureMap1080(b *testing.B) {
 }
 
 // BenchmarkBlockGrid1080 normalizes the block grids of a 1080p day
-// pyramid's feature maps serially into reused grids. Bytes are pyramid
-// pixels.
+// pyramid's feature maps serially into reused grids, as one BlockPass
+// on a reused fan-out. Bytes are pyramid pixels.
 func BenchmarkBlockGrid1080(b *testing.B) {
 	c := DefaultConfig()
 	levels := drivePyramid1080()
 	maps := make([]FeatureMap, len(levels))
 	grids := make([]BlockGrid, len(levels))
+	var fan par.Fanout
+	var pass BlockPass
 	build := func() {
 		for i := range grids {
-			if err := grids[i].ComputeCtx(context.Background(), &maps[i], 1); err != nil {
-				b.Fatal(err)
-			}
+			pass.Add(&grids[i], &maps[i])
 		}
+		if err := fan.Run(context.Background(), 1, pass.Len(), &pass); err != nil {
+			b.Fatal(err)
+		}
+		pass.Reset()
 	}
 	for i, g := range levels {
-		if err := maps[i].ComputeCtx(context.Background(), c, g, 1, nil); err != nil {
+		if err := maps[i].ComputeCtx(context.Background(), c, g, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

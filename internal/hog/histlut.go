@@ -48,7 +48,7 @@ func ensureHistLUT() {
 		for dy := -255; dy <= 255; dy++ {
 			for dx := -255; dx <= 255; dx++ {
 				gx, gy := float64(dx), float64(dy)
-				// Mirror gradientRow: mag/ang live as float32 planes.
+				// Mirror gradientAt: mag/ang are rounded to float32.
 				m := float64(float32(math.Hypot(gx, gy)))
 				a := math.Atan2(gy, gx) * 180 / math.Pi
 				if a < 0 {

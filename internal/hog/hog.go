@@ -70,30 +70,27 @@ func Gradients(g *img.Gray) (mag []float32, ang []float32) {
 	mag = make([]float32, w*h)
 	ang = make([]float32, w*h)
 	for y := 0; y < h; y++ {
-		gradientRow(g, y, mag, ang)
+		for x := 0; x < w; x++ {
+			mag[y*w+x], ang[y*w+x] = gradientAt(g, x, y)
+		}
 	}
 	return mag, ang
 }
 
-// gradientRow computes one row of the gradient image. Rows only read
-// the source image and write disjoint slices of mag/ang, which is what
-// lets the feature cache fan them out across workers.
-func gradientRow(g *img.Gray, y int, mag, ang []float32) {
-	w := g.W
-	for x := 0; x < w; x++ {
-		gx := float64(g.AtClamped(x+1, y)) - float64(g.AtClamped(x-1, y))
-		gy := float64(g.AtClamped(x, y+1)) - float64(g.AtClamped(x, y-1))
-		i := y*w + x
-		mag[i] = float32(math.Hypot(gx, gy))
-		a := math.Atan2(gy, gx) * 180 / math.Pi // [-180, 180]
-		if a < 0 {
-			a += 180 // fold to unsigned orientation
-		}
-		if a >= 180 {
-			a -= 180
-		}
-		ang[i] = float32(a)
+// gradientAt is the gradient of pixel (x, y): magnitude and unsigned
+// orientation in degrees, each rounded to float32 as the gradient
+// planes hold them.
+func gradientAt(g *img.Gray, x, y int) (mag, ang float32) {
+	gx := float64(g.AtClamped(x+1, y)) - float64(g.AtClamped(x-1, y))
+	gy := float64(g.AtClamped(x, y+1)) - float64(g.AtClamped(x, y-1))
+	a := math.Atan2(gy, gx) * 180 / math.Pi // [-180, 180]
+	if a < 0 {
+		a += 180 // fold to unsigned orientation
 	}
+	if a >= 180 {
+		a -= 180
+	}
+	return float32(math.Hypot(gx, gy)), float32(a)
 }
 
 // CellHistograms bins the gradients of a w x h window into per-cell
@@ -105,36 +102,35 @@ func (c Config) CellHistograms(g *img.Gray) []float64 {
 	c.validate()
 	cw, ch := c.CellsFor(g.W, g.H)
 	hist := make([]float64, cw*ch*c.Bins)
-	mag, ang := Gradients(g)
-	binWidth := 180.0 / float64(c.Bins)
 	for cy := 0; cy < ch; cy++ {
-		c.cellRowHistograms(g.W, cy, cw, mag, ang, binWidth, hist)
+		c.cellRowHistograms(g, cy, cw, hist)
 	}
 	return hist
 }
 
-// cellRowHistograms accumulates the histograms of cell row cy. Each
-// cell row reads its own CellSize pixel rows and writes a disjoint
-// slice of hist, and pixels are visited in the same y-major order as
-// the serial stage, so a row-parallel accumulation is bitwise
-// identical to CellHistograms.
-func (c Config) cellRowHistograms(imgW, cy, cw int, mag, ang []float32, binWidth float64, hist []float64) {
+// cellRowHistograms accumulates the histograms of cell row cy into
+// hist, which the caller zeroes. Each cell row reads only its own
+// CellSize pixel rows (and their one-pixel stencil border) and writes
+// a disjoint slice of hist, and pixels are visited in y-major order,
+// so a row-parallel accumulation is bitwise identical to
+// CellHistograms.
+func (c Config) cellRowHistograms(g *img.Gray, cy, cw int, hist []float64) {
+	binWidth := 180.0 / float64(c.Bins)
 	for y := cy * c.CellSize; y < (cy+1)*c.CellSize; y++ {
 		for x := 0; x < cw*c.CellSize; x++ {
-			cx := x / c.CellSize
-			i := y*imgW + x
-			m := float64(mag[i])
+			mag, ang := gradientAt(g, x, y)
+			m := float64(mag)
 			if m == 0 {
 				continue
 			}
-			a := float64(ang[i]) / binWidth // bin coordinate
+			a := float64(ang) / binWidth // bin coordinate
 			b0 := int(a)
 			frac := a - float64(b0)
 			b0 %= c.Bins
 			b1 := (b0 + 1) % c.Bins
-			base := (cy*cw + cx) * c.Bins
-			hist[base+b0] += m * (1 - frac)
-			hist[base+b1] += m * frac
+			base := (cy*cw + x/c.CellSize) * c.Bins
+			hist[base+b0] += float64(m * (1 - frac))
+			hist[base+b1] += float64(m * frac)
 		}
 	}
 }
@@ -170,7 +166,7 @@ func (c Config) NormalizeBlocks(hist []float64, w, h int) []float64 {
 func l2hys(v []float64, clip float64) {
 	var ss float64
 	for _, x := range v {
-		ss += x * x
+		ss += float64(x * x)
 	}
 	l2hysSS(v, clip, ss)
 }
@@ -195,7 +191,7 @@ func l2hysSS(v []float64, clip float64, ss float64) {
 	ss = 0
 	for i := range v {
 		v[i] = min(v[i]*inv, clip)
-		ss += v[i] * v[i]
+		ss += float64(v[i] * v[i])
 	}
 	inv = 1 / math.Sqrt(ss+eps)
 	for i := range v {
@@ -219,8 +215,8 @@ func l2hysPair(a, b []float64, clip, ssa, ssb float64) {
 		x := min(a[i]*inva, clip)
 		y := min(b[i]*invb, clip)
 		a[i], b[i] = x, y
-		ssa += x * x
-		ssb += y * y
+		ssa += float64(x * x)
+		ssb += float64(y * y)
 	}
 	inva = 1 / math.Sqrt(ssa+eps)
 	invb = 1 / math.Sqrt(ssb+eps)

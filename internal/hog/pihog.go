@@ -84,11 +84,11 @@ func (p PIHOG) Extract(g *img.Gray) []float64 {
 			b0 %= p.Bins
 			b1 := (b0 + 1) % p.Bins
 			base := ci * perCell
-			cells[base+b0] += m * (1 - frac)
-			cells[base+b1] += m * frac
+			cells[base+b0] += float64(m * (1 - frac))
+			cells[base+b1] += float64(m * frac)
 			// Position accumulation relative to the cell origin.
-			massX[ci] += m * (float64(x) - float64(cx)*cs)
-			massY[ci] += m * (float64(y) - float64(cy)*cs)
+			massX[ci] += float64(m * (float64(x) - float64(cx)*cs))
+			massY[ci] += float64(m * (float64(y) - float64(cy)*cs))
 			massT[ci] += m
 		}
 	}

@@ -63,7 +63,6 @@ type FrameStack struct {
 	// gmode is the refresh a level's block grid got this frame (full,
 	// partial or clean); the quantized plane follows it.
 	gmode []int
-	hs    hog.Scratch
 
 	// level0 stashes the stack's own level-0 buffer while levels[0]
 	// aliases the source frame: level 0 of the pyramid is always the
@@ -77,8 +76,13 @@ type FrameStack struct {
 	scan   scanScratch   // the sweeps' working memory
 	dark   darkScratch   // the dark pipeline's, for DetectStackCtx
 
-	fan par.Fanout // fans gray bands and level resizes out
-	job stackJob   // the stage fan is running
+	// The front-end stages, one fan-out each: gray bands or level
+	// resizes (job), then the feature and the block rows of every
+	// level a sweep needs built (feat, block).
+	fan   par.Fanout
+	job   stackJob
+	feat  hog.FeaturePass
+	block hog.BlockPass
 }
 
 // stackJob is one of the frame stack's own fan-outs: the gray
@@ -287,35 +291,53 @@ func (st *FrameStack) ensure(ctx context.Context, workers int, need stackNeeds) 
 		lap(&st.tm.Resize)
 	}
 
-	blockLen := st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.Bins
-	for i := 0; i < nl; i++ {
-		level, fm := st.levels[i], st.maps[i]
-		if st.featGen[i] != st.gen {
-			// Temporal refresh mode: fingerprint the level's tiles and
-			// decide whether last frame's feature map is reused whole
-			// (clean), refreshed cell by cell (partial) or recomputed
-			// (full — also the only mode without a cache).
+	// Feature maps. Each level not yet current this frame is
+	// fingerprinted first (with a cache) and then recomputed whole
+	// (full, also the only mode without a cache), refreshed cell by
+	// cell (partial) or reused as is (clean); the rows of every level
+	// run as one fan-out.
+	if anyStale(st.featGen[:nl], st.gen) {
+		for i := 0; i < nl; i++ {
+			if st.featGen[i] == st.gen {
+				continue
+			}
 			mode := tcFull
 			if st.tc != nil {
-				mode = st.tc.observe(i, level, st.cfg, st.prev(st.featGen[i]))
-				lap(&st.tm.Temporal)
+				mode = st.tc.observe(i, st.levels[i], st.cfg, st.prev(st.featGen[i]))
 			}
 			switch mode {
 			case tcClean:
 			case tcPartial:
-				if err := fm.ComputeDirtyCtx(ctx, st.cfg, level, workers, st.tc.cellMask); err != nil {
+				if err := st.feat.AddDirty(st.maps[i], st.cfg, st.levels[i], st.tc.cellMask[i]); err != nil {
+					st.feat.Reset()
 					return 0, err
 				}
 			default:
-				if err := fm.ComputeCtx(ctx, st.cfg, level, workers, &st.hs); err != nil {
-					return 0, err
-				}
+				st.feat.Add(st.maps[i], st.cfg, st.levels[i])
 			}
-			st.featGen[i] = st.gen
-			lap(&st.tm.Feature)
 		}
-		if st.gridGen[i] != st.gen {
-			bg := st.grids[i]
+		if st.tc != nil {
+			lap(&st.tm.Temporal)
+		}
+		err := st.fan.Run(ctx, workers, st.feat.Len(), &st.feat)
+		st.feat.Reset()
+		if err != nil {
+			return 0, err
+		}
+		for i := 0; i < nl; i++ {
+			st.featGen[i] = st.gen
+		}
+		lap(&st.tm.Feature)
+	}
+
+	// Block grids, the same way: a level's grid follows its feature
+	// map's refresh mode when it was current on the previous frame,
+	// and is rebuilt whole otherwise.
+	if anyStale(st.gridGen[:nl], st.gen) {
+		for i := 0; i < nl; i++ {
+			if st.gridGen[i] == st.gen {
+				continue
+			}
 			mode := tcFull
 			if st.tc != nil && st.prev(st.gridGen[i]) {
 				mode = st.tc.mode[i]
@@ -323,23 +345,36 @@ func (st *FrameStack) ensure(ctx context.Context, workers int, need stackNeeds) 
 			switch mode {
 			case tcClean:
 			case tcPartial:
-				if err := bg.ComputeDirtyCtx(ctx, fm, workers, st.tc.blockMask[i]); err != nil {
+				if err := st.block.AddDirty(st.grids[i], st.maps[i], st.tc.blockMask[i]); err != nil {
+					st.block.Reset()
 					return 0, err
 				}
 			default:
-				if err := bg.ComputeCtx(ctx, fm, workers); err != nil {
-					return 0, err
-				}
+				st.block.Add(st.grids[i], st.maps[i])
 			}
 			st.gmode[i] = mode
-			st.gridGen[i] = st.gen
-			lap(&st.tm.Blocks)
 		}
-		if need.quant && st.qGen[i] != st.gen {
-			// Quantization is elementwise, so requantizing only the
-			// dirty blocks of last frame's plane is bitwise the full
-			// pass; a plane that skipped a frame or changed length is
-			// re-derived whole.
+		err := st.fan.Run(ctx, workers, st.block.Len(), &st.block)
+		st.block.Reset()
+		if err != nil {
+			return 0, err
+		}
+		for i := 0; i < nl; i++ {
+			st.gridGen[i] = st.gen
+		}
+		lap(&st.tm.Blocks)
+	}
+
+	if need.quant {
+		// Quantization is elementwise, so requantizing only the dirty
+		// blocks of last frame's plane is bitwise the full pass; a
+		// plane that skipped a frame or changed length is re-derived
+		// whole.
+		blockLen := st.cfg.BlockCells * st.cfg.BlockCells * st.cfg.Bins
+		for i := 0; i < nl; i++ {
+			if st.qGen[i] == st.gen {
+				continue
+			}
 			data := st.grids[i].Data()
 			mode := tcFull
 			if st.tc != nil && st.prev(st.qGen[i]) && len(st.qgrids[i]) == len(data) {
@@ -352,8 +387,8 @@ func (st *FrameStack) ensure(ctx context.Context, workers int, need stackNeeds) 
 				requantDirtyBlocks(st.qgrids[i], data, blockLen, st.tc.blockMask[i])
 			}
 			st.qGen[i] = st.gen
-			lap(&st.tm.Blocks)
 		}
+		lap(&st.tm.Blocks)
 	}
 	if st.tc != nil {
 		st.tm.TemporalPath = true
@@ -361,4 +396,14 @@ func (st *FrameStack) ensure(ctx context.Context, workers int, need stackNeeds) 
 		st.tm.TileHits, st.tm.TileMisses, st.tm.TileRefreshes = fs.Hits, fs.Misses, fs.Refreshes
 	}
 	return nl, nil
+}
+
+// anyStale reports whether a product stamp in gens is not gen.
+func anyStale(gens []uint64, gen uint64) bool {
+	for _, g := range gens {
+		if g != gen {
+			return true
+		}
+	}
+	return false
 }

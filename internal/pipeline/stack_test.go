@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"advdet/internal/hog"
 	"advdet/internal/img"
 	"advdet/internal/svm"
 	"advdet/internal/synth"
@@ -176,5 +178,34 @@ func TestBeginRGBBandsMatchSerial(t *testing.T) {
 				t.Fatalf("%dx%d workers=%d: BeginRGB gray differs from RGBToGray", sz[0], sz[1], workers)
 			}
 		}
+	}
+}
+
+// BenchmarkFrameStack1080 times the stack's front end over a 1080p
+// synth.Drive day frame: the pyramid resize, feature and block stages
+// a vehicle sweep brings the stack up to, cold each frame, at one and
+// two workers. With BenchmarkFeatureMap1080 and BenchmarkBlockGrid1080
+// (internal/hog, serial kernels) it separates the stages' fan-out cost
+// from their kernels.
+func BenchmarkFrameStack1080(b *testing.B) {
+	g := img.RGBToGray(synth.NewDrive(1, 1920, 1080, synth.Day, 4, 1).Frame(0).Frame)
+	need := stackNeeds{cfg: hog.DefaultConfig(), scale: 1.25, winW: VehicleWindow, winH: VehicleWindow}
+	ctx := context.Background()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			st := NewFrameStack()
+			build := func() {
+				st.Begin(g)
+				if _, err := st.ensure(ctx, workers, need); err != nil {
+					b.Fatal(err)
+				}
+			}
+			build() // size the stack outside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+		})
 	}
 }

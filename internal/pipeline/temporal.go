@@ -42,14 +42,16 @@ type TemporalCache struct {
 	// for tcPartial levels cellPrefix holds an integral image over the
 	// dirty-cell mask, with cw/ch its cell-grid dims, so the sweeps
 	// answer "is this window's cell rectangle clean?" in O(1), and
-	// blockMask/dirtyBlocks the dilated dirty-block mask.
+	// cellMask/blockMask/dirtyBlocks the dirty-cell mask and its
+	// dilation to blocks, which the stack's feature and block passes
+	// read after every level is observed.
 	tiles       []*hog.TileMap
 	mode        []int
 	cw, ch      []int
 	cellPrefix  [][]int32
+	cellMask    [][]bool
 	blockMask   [][]bool
 	dirtyBlocks []int
-	cellMask    []bool // transient: the level being observed
 
 	sweeps []*sweepPart
 
@@ -217,7 +219,7 @@ func (tc *TemporalCache) part(sig sweepSig) *sweepPart {
 // reports whether the level's stack was current on the previous frame;
 // otherwise its tiles have nothing comparable to match. For tcPartial
 // the dirty-cell mask (with its one-cell halo) is left in
-// tc.cellMask[:cw*ch] for the feature refresh, its integral image in
+// tc.cellMask[i] for the feature refresh, its integral image in
 // tc.cellPrefix[i] for the sweeps' window reuse checks, and its
 // block dilation in tc.blockMask[i].
 func (tc *TemporalCache) observe(i int, level *img.Gray, c hog.Config, prev bool) int {
@@ -227,6 +229,7 @@ func (tc *TemporalCache) observe(i int, level *img.Gray, c hog.Config, prev bool
 		tc.cw = append(tc.cw, 0)
 		tc.ch = append(tc.ch, 0)
 		tc.cellPrefix = append(tc.cellPrefix, nil)
+		tc.cellMask = append(tc.cellMask, nil)
 		tc.blockMask = append(tc.blockMask, nil)
 		tc.dirtyBlocks = append(tc.dirtyBlocks, 0)
 	}
@@ -247,7 +250,7 @@ func (tc *TemporalCache) observe(i int, level *img.Gray, c hog.Config, prev bool
 	}
 	for y := 0; y < ch; y++ {
 		rowSum := int32(0)
-		src := tc.cellMask[y*cw : (y+1)*cw]
+		src := tc.cellMask[i][y*cw : (y+1)*cw]
 		dst := pre[(y+1)*(cw+1):]
 		above := pre[y*(cw+1):]
 		dst[0] = 0
@@ -260,7 +263,7 @@ func (tc *TemporalCache) observe(i int, level *img.Gray, c hog.Config, prev bool
 	}
 	nbx, nby := max(cw-c.BlockCells+1, 0), max(ch-c.BlockCells+1, 0)
 	tc.blockMask[i] = growBool(tc.blockMask[i], nbx*nby)
-	tc.dirtyBlocks[i] = hog.DilateCellsToBlocks(c, tc.cellMask[:cw*ch], cw, nbx, nby, tc.blockMask[i])
+	tc.dirtyBlocks[i] = hog.DilateCellsToBlocks(c, tc.cellMask[i], cw, nbx, nby, tc.blockMask[i])
 	return mode
 }
 
@@ -315,8 +318,8 @@ func (tc *TemporalCache) observeTiles(i int, level *img.Gray, c hog.Config) int 
 	if cw == 0 || ch == 0 {
 		return tcFull
 	}
-	tc.cellMask = growBool(tc.cellMask, cw*ch)
-	tc.tiles[i].DirtyCellMask(c, cw, ch, tc.cellMask)
+	tc.cellMask[i] = growBool(tc.cellMask[i], cw*ch)
+	tc.tiles[i].DirtyCellMask(c, cw, ch, tc.cellMask[i])
 	return tcPartial
 }
 

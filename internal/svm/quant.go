@@ -138,9 +138,9 @@ func (qm *QuantBlockModel) Init(m *Model, bw, bh, blockLen int, thresh float64) 
 	qm.errBound = E
 
 	const respScale = float64(int64(1) << fixed.RespFracBits)
-	qm.qbias = fixed.SatI32(int64(math.Round(m.Bias * respScale)))
-	qm.qlow = fixed.SatI32(int64(math.Floor((thresh - E) * respScale)))
-	qm.qhigh = fixed.SatI32(int64(math.Ceil((thresh + E) * respScale)))
+	qm.qbias = satRespI32(math.Round(m.Bias * respScale))
+	qm.qlow = satRespI32(math.Floor((thresh - E) * respScale))
+	qm.qhigh = satRespI32(math.Ceil((thresh + E) * respScale))
 
 	// Early-exit order and integer bail thresholds. The tail bound is
 	// the float positive-part-norm suffix (the bound on every true
@@ -176,6 +176,24 @@ func (qm *QuantBlockModel) Init(m *Model, bw, bh, blockLen int, thresh float64) 
 
 	qm.lastModel, qm.lastThresh = m, thresh
 	return nil
+}
+
+// satRespI32 converts an integral response value to int32, saturating
+// at the int32 range: a value beyond it (an infinite or huge scan
+// threshold) clamps to the nearer end. NaN maps to math.MinInt32, which
+// is where amd64's float-to-int64 conversion followed by fixed.SatI32
+// has always put it. Converting an out-of-range float to an integer
+// type is implementation-defined in Go (amd64 yields math.MinInt64 for
+// every such value, 386 may yield 0), so the clamp comes before the
+// conversion and every GOARCH gets the same guard band.
+func satRespI32(v float64) int32 {
+	switch {
+	case v >= math.MaxInt32:
+		return math.MaxInt32
+	case v > math.MinInt32:
+		return int32(v)
+	}
+	return math.MinInt32
 }
 
 // ErrBound returns E, the proven bound on |float margin − dequantized

@@ -113,3 +113,45 @@ func TestQuantDecisionsMatchFloat(t *testing.T) {
 		t.Fatalf("guard band too wide: %d of %d windows borderline", borderlines, windows)
 	}
 }
+
+// TestQuantGuardBandSaturates pins the guard band of degenerate scan
+// thresholds on every GOARCH: an infinite or huge threshold clamps to
+// the int32 range before the float-to-int conversion (whose
+// out-of-range result Go leaves to the target), and NaN lands at
+// math.MinInt32 as amd64's conversion has always put it.
+func TestQuantGuardBandSaturates(t *testing.T) {
+	m := &Model{W: []float64{0.5, -0.25, 0.125, 1}, Bias: -0.3}
+	for _, tc := range []struct {
+		thresh      float64
+		qlow, qhigh int32
+	}{
+		{math.Inf(-1), math.MinInt32, math.MinInt32},
+		{-1e300, math.MinInt32, math.MinInt32},
+		{-1e5, math.MinInt32, math.MinInt32},
+		{math.Inf(1), math.MaxInt32, math.MaxInt32},
+		{1e300, math.MaxInt32, math.MaxInt32},
+		{1e5, math.MaxInt32, math.MaxInt32},
+		{math.NaN(), math.MinInt32, math.MinInt32},
+	} {
+		var qm QuantBlockModel
+		if err := qm.Init(m, 1, 1, 4, tc.thresh); err != nil {
+			t.Fatal(err)
+		}
+		if qm.qlow != tc.qlow || qm.qhigh != tc.qhigh {
+			t.Errorf("thresh %v: guard band [%d, %d], want [%d, %d]", tc.thresh, qm.qlow, qm.qhigh, tc.qlow, tc.qhigh)
+		}
+	}
+	for _, tc := range []struct {
+		v    float64
+		want int32
+	}{
+		{0, 0}, {-1, -1}, {1, 1},
+		{math.MaxInt32, math.MaxInt32}, {math.MaxInt32 + 1, math.MaxInt32},
+		{math.MinInt32, math.MinInt32}, {math.MinInt32 - 1, math.MinInt32},
+		{math.Inf(1), math.MaxInt32}, {math.Inf(-1), math.MinInt32}, {math.NaN(), math.MinInt32},
+	} {
+		if got := satRespI32(tc.v); got != tc.want {
+			t.Errorf("satRespI32(%v) = %d, want %d", tc.v, got, tc.want)
+		}
+	}
+}
